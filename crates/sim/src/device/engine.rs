@@ -42,7 +42,6 @@ pub(super) enum Ev {
         id: u64,
         addr: u64,
         kind: u8,
-        tex: bool,
     },
     /// A reply packet arrived back at its SM.
     Reply { sm: usize, id: u64 },
@@ -140,11 +139,7 @@ impl Gpu {
     ) -> Result<(), SimError> {
         let mut ls = LaneSet::single(lanes);
         while self.busy_with(&ls) {
-            let (now, device_busy) = self.cycle_pre(&mut ls);
-            for lane in ls.iter_mut() {
-                lane.core.tick(now, &*mem, device_busy, &mut lane.ports);
-            }
-            self.cycle_post(&mut ls, mem, now);
+            self.step(&mut ls, mem);
             if let Some(outcome) = self.sync_check(start, &mut ls) {
                 return outcome;
             }
@@ -218,16 +213,19 @@ impl Gpu {
         }
         let mut lanes = std::mem::take(&mut self.lanes);
         let mut mem = std::mem::take(&mut self.mem);
-        {
-            let mut ls = LaneSet::single(&mut lanes);
-            let (now, device_busy) = self.cycle_pre(&mut ls);
-            for lane in ls.iter_mut() {
-                lane.core.tick(now, &mem, device_busy, &mut lane.ports);
-            }
-            self.cycle_post(&mut ls, &mut mem, now);
-        }
+        self.step(&mut LaneSet::single(&mut lanes), &mut mem);
         self.lanes = lanes;
         self.mem = mem;
+    }
+
+    /// One whole cycle on the calling thread: pre-phase, every SM's tick,
+    /// post-phase.
+    fn step(&mut self, lanes: &mut LaneSet<'_>, mem: &mut DeviceMemory) {
+        let (now, device_busy) = self.cycle_pre(lanes);
+        for lane in lanes.iter_mut() {
+            lane.core.tick(now, &*mem, device_busy, &mut lane.ports);
+        }
+        self.cycle_post(lanes, mem, now);
     }
 
     /// Serial pre-SM phase: deliver due packets, tick DRAM, dispatch CTAs.
@@ -241,13 +239,7 @@ impl Gpu {
         // cycle, preserving the pre-port `mem_response(id, now)` timing.
         while let Some(ev) = self.events.pop_due(now) {
             match ev {
-                Ev::L2Arrive {
-                    sm,
-                    id,
-                    addr,
-                    kind,
-                    tex,
-                } => self.handle_l2_arrive(sm, id, addr, kind, tex),
+                Ev::L2Arrive { sm, id, addr, kind } => self.handle_l2_arrive(sm, id, addr, kind),
                 Ev::Reply { sm, id } => lanes.get_mut(sm).ports.replies.push(id),
             }
         }
@@ -305,12 +297,16 @@ impl Gpu {
             }
         }
 
-        // 4. Merge the SM outputs. Each lane's buffers are swapped out,
-        // drained in place (retaining capacity), and swapped back — the
-        // steady-state hot path allocates nothing.
+        // 4. Merge the SM outputs. A lane that produced nothing is skipped
+        // (most lanes, most cycles, in latency-bound kernels). The others'
+        // buffers are swapped out, drained in place (retaining capacity),
+        // and swapped back — the steady-state hot path allocates nothing.
         let mut first_trap: Option<(usize, Trap)> = None;
         let mut issued = 0u64;
         for sm in 0..lanes.len() {
+            if lanes.get_mut(sm).ports.out.is_empty() {
+                continue;
+            }
             let mut out = std::mem::take(&mut lanes.get_mut(sm).ports.out);
             lanes.get_mut(sm).core.commit_mem_ops(mem, &mut out.mem_ops);
             for req in out.mem_requests.drain(..) {
@@ -439,7 +435,6 @@ impl Gpu {
                 id: req.id,
                 addr: req.addr,
                 kind,
-                tex: req.tex,
             },
         );
     }
@@ -469,7 +464,7 @@ impl Gpu {
             .push(t.max(self.cycle + 1), Ev::Reply { sm, id });
     }
 
-    fn handle_l2_arrive(&mut self, sm: usize, id: u64, addr: u64, kind: u8, tex: bool) {
+    fn handle_l2_arrive(&mut self, sm: usize, id: u64, addr: u64, kind: u8) {
         let part = self.partition_of(addr);
         let line = addr / LINE_BYTES;
         match kind {
@@ -495,7 +490,6 @@ impl Gpu {
             // Store: write-through L2 (update on hit, stream to DRAM).
             _ => {
                 let _ = self.l2[part].access(addr, true);
-                let _ = tex;
                 self.enqueue_dram(part, addr, DramTarget::Write);
             }
         }

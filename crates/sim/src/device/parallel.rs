@@ -84,8 +84,13 @@ impl<'a> LaneSet<'a> {
     }
 
     /// The lane at global SM index `i`.
+    #[inline]
     pub(super) fn get_mut(&mut self, i: usize) -> &mut SmLane {
-        &mut self.shards[i / self.chunk][i % self.chunk]
+        if self.shards.len() == 1 {
+            &mut self.shards[0][i]
+        } else {
+            &mut self.shards[i / self.chunk][i % self.chunk]
+        }
     }
 
     /// All SM cores in SM-index order.

@@ -99,12 +99,14 @@ impl DeviceMemory {
         self.data[start..end].copy_from_slice(bytes);
     }
 
-    /// Copy device memory out to the host.
+    /// Copy device memory out to the host. Bytes past the written image
+    /// read as zero.
     pub fn read_slice(&self, ptr: DevicePtr, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
         let start = ptr.0 as usize;
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = self.data.get(start + i).copied().unwrap_or(0);
+        if let Some(image) = self.data.get(start..) {
+            let n = len.min(image.len());
+            out[..n].copy_from_slice(&image[..n]);
         }
         out
     }
@@ -143,22 +145,17 @@ impl GlobalMem for DeviceMemory {
     }
 
     fn read(&self, addr: u64, width: Width) -> u64 {
-        let mut v = 0u64;
-        for i in 0..width.bytes() {
-            let b = self.data.get((addr + i) as usize).copied().unwrap_or(0);
-            v |= (b as u64) << (8 * i);
-        }
-        v
+        ggpu_sm::read_le(&self.data, addr, width)
     }
 
     fn write(&mut self, addr: u64, width: Width, value: u64) {
-        let end = (addr + width.bytes()) as usize;
+        let w = width.bytes() as usize;
+        let start = addr as usize;
+        let end = start + w;
         if self.data.len() < end {
             self.data.resize(end, 0);
         }
-        for i in 0..width.bytes() {
-            self.data[(addr + i) as usize] = (value >> (8 * i)) as u8;
-        }
+        self.data[start..end].copy_from_slice(&value.to_le_bytes()[..w]);
     }
 
     fn atom(&mut self, op: AtomOp, addr: u64, src: u64, cas: u64) -> u64 {
@@ -202,6 +199,28 @@ mod tests {
         assert_eq!(GlobalMem::read(&m, p.0, Width::B8), 0x88);
         assert_eq!(GlobalMem::read(&m, p.0 + 1, Width::B16), 0x6677);
         assert_eq!(GlobalMem::read(&m, p.0, Width::B32), 0x55667788);
+    }
+
+    #[test]
+    fn reads_straddling_the_image_end_zero_fill() {
+        let mut m = DeviceMemory::new();
+        let p = m.alloc(4);
+        m.write_slice(p, &[0xaa, 0xbb, 0xcc, 0xdd]);
+        let end = p.0 + 4;
+        assert_eq!(GlobalMem::read(&m, p.0 + 2, Width::B64), 0xddcc);
+        assert_eq!(GlobalMem::read(&m, end, Width::B32), 0);
+        assert_eq!(m.read_slice(p.offset(2), 6), vec![0xcc, 0xdd, 0, 0, 0, 0]);
+        assert_eq!(m.read_slice(DevicePtr(end + 100), 3), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn word_write_grows_the_image() {
+        let mut m = DeviceMemory::new();
+        let p = m.alloc(8);
+        GlobalMem::write(&mut m, p.0 + 6, Width::B32, 0x1122_3344);
+        assert_eq!(m.read_slice(p.offset(6), 4), vec![0x44, 0x33, 0x22, 0x11]);
+        GlobalMem::write(&mut m, p.0, Width::B16, 0xdead_beef);
+        assert_eq!(GlobalMem::read(&m, p.0, Width::B64), 0x3344_0000_0000_beef);
     }
 
     #[test]

@@ -49,6 +49,29 @@ pub trait GlobalMem {
     }
 }
 
+/// Read `width` little-endian bytes of `data` at `addr`, zero-extended.
+/// Bytes past the end of `data` read as zero; an in-range word is one
+/// slice access.
+#[inline]
+pub fn read_le(data: &[u8], addr: u64, width: Width) -> u64 {
+    let w = width.bytes() as usize;
+    let mut buf = [0u8; 8];
+    let span = usize::try_from(addr)
+        .ok()
+        .and_then(|a| data.get(a..a.checked_add(w)?));
+    if let Some(bytes) = span {
+        buf[..w].copy_from_slice(bytes);
+    } else {
+        for (i, b) in buf[..w].iter_mut().enumerate() {
+            *b = data
+                .get(addr.wrapping_add(i as u64) as usize)
+                .copied()
+                .unwrap_or(0);
+        }
+    }
+    u64::from_le_bytes(buf)
+}
+
 /// Everything the device provides when placing a CTA on an SM.
 #[derive(Debug, Clone)]
 pub struct CtaConfig {
@@ -551,27 +574,58 @@ impl SmCore {
     ///
     /// `device_busy` tells the SM that the device is mid-launch or draining
     /// (empty cycles then count as "functional done" rather than idle).
+    ///
+    /// An SM with no resident warps and no inbound replies takes an inlined
+    /// fast path that only does the idle accounting, so the per-cycle cost
+    /// of an idle lane is one counter update.
+    #[inline]
     pub fn tick(&mut self, now: u64, gmem: &dyn GlobalMem, device_busy: bool, ports: &mut SmPorts) {
+        if self.live_warps == 0 && ports.replies.is_empty() {
+            self.credit_idle(device_busy, 1);
+        } else {
+            self.tick_live(now, gmem, device_busy, ports);
+        }
+    }
+
+    /// Account `cycles` cycles of an SM with no resident warps.
+    ///
+    /// An SM waiting on kernel setup/drain stalls as "functional done" (the
+    /// paper's NvB signature); an SM with no work at all is unused, not
+    /// stalled, and contributes nothing to Figure 5.
+    #[inline]
+    fn credit_idle(&mut self, device_busy: bool, cycles: u64) {
+        self.stats.cycles += cycles;
+        if device_busy {
+            self.credit_functional_done(cycles);
+        }
+    }
+
+    fn credit_functional_done(&mut self, cycles: u64) {
+        let slots = self.config.schedulers as u64 * cycles;
+        self.stats.stalls.add(StallReason::FunctionalDone, slots);
+        if let Some(t) = self.pc_stats.as_deref_mut() {
+            t.record_unattributed(StallReason::FunctionalDone, slots);
+        }
+    }
+
+    /// [`SmCore::tick`] for an SM with resident warps or inbound replies.
+    fn tick_live(
+        &mut self,
+        now: u64,
+        gmem: &dyn GlobalMem,
+        device_busy: bool,
+        ports: &mut SmPorts,
+    ) {
         for id in ports.replies.drain(..) {
             self.mem_response(id, now);
+        }
+        if self.live_warps == 0 {
+            self.credit_idle(device_busy, 1);
+            return;
         }
         let out = &mut ports.out;
         self.stats.cycles += 1;
         let nsched = self.config.schedulers as usize;
-        if self.live_warps == 0 {
-            // An SM waiting on kernel setup/drain stalls as "functional
-            // done" (the paper's NvB signature); an SM with no work at all
-            // is unused, not stalled, and contributes nothing to Figure 5.
-            if device_busy {
-                self.stats
-                    .stalls
-                    .add(StallReason::FunctionalDone, nsched as u64);
-                if let Some(t) = self.pc_stats.as_deref_mut() {
-                    t.record_unattributed(StallReason::FunctionalDone, nsched as u64);
-                }
-            }
-            return;
-        }
         let mut fallback: Option<(StallReason, Option<usize>)> = None;
         for sched in 0..nsched {
             match self.pick(sched, now) {
@@ -633,10 +687,17 @@ impl SmCore {
     /// exactly as the first scheduling pass at `c0` would; the pops are
     /// idempotent, so SM state afterwards is identical to what a normal
     /// tick at `c0` would have observed.
+    #[inline]
     pub fn next_wake(&mut self, c0: u64) -> u64 {
         if self.live_warps == 0 {
-            return u64::MAX;
+            u64::MAX
+        } else {
+            self.next_wake_live(c0)
         }
+    }
+
+    /// [`SmCore::next_wake`] for an SM with resident warps.
+    fn next_wake_live(&mut self, c0: u64) -> u64 {
         let mut min = u64::MAX;
         for widx in 0..self.warps.len() {
             let kid = {
@@ -709,19 +770,12 @@ impl SmCore {
     /// the whole span and per-cycle accounting telescopes into one
     /// multiplication.
     pub fn skip_cycles(&mut self, c0: u64, device_busy: bool, span: u64) {
-        self.stats.cycles += span;
-        let nsched = self.config.schedulers as usize;
         if self.live_warps == 0 {
-            if device_busy {
-                self.stats
-                    .stalls
-                    .add(StallReason::FunctionalDone, nsched as u64 * span);
-                if let Some(t) = self.pc_stats.as_deref_mut() {
-                    t.record_unattributed(StallReason::FunctionalDone, nsched as u64 * span);
-                }
-            }
+            self.credit_idle(device_busy, span);
             return;
         }
+        self.stats.cycles += span;
+        let nsched = self.config.schedulers as usize;
         let mut fallback: Option<(StallReason, Option<usize>)> = None;
         for sched in 0..nsched {
             let (reason, rep) = match self.pick(sched, c0) {
@@ -1009,15 +1063,6 @@ impl SmCore {
             Width::B32 => v & 0xFFFF_FFFF,
             Width::B64 => v,
         }
-    }
-
-    fn bytes_read(data: &[u8], addr: u64, width: Width) -> u64 {
-        let mut v: u64 = 0;
-        for i in 0..width.bytes() {
-            let b = data.get((addr + i) as usize).copied().unwrap_or(0);
-            v |= (b as u64) << (8 * i);
-        }
-        v
     }
 
     fn bytes_write(data: &mut [u8], addr: u64, width: Width, value: u64) {

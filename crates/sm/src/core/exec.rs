@@ -17,7 +17,7 @@ use crate::coalesce::{bank_conflict_degree, coalesce_lines};
 use crate::ports::{CompletedCta, DeviceLaunch, MemOp, MemRequest, ReqKind, TickOutput};
 use crate::warp::{lanes, WarpBlock};
 
-use super::{GlobalMem, RespRoute, SmCore};
+use super::{read_le, GlobalMem, RespRoute, SmCore};
 
 impl SmCore {
     /// Issue one instruction from warp `widx`.
@@ -444,7 +444,7 @@ impl SmCore {
                     for lane in lanes(mask) {
                         let a = Self::opval(w, addr, lane).wrapping_add(offset as u64);
                         self.scratch_addrs[lane] = a;
-                        let v = Self::bytes_read(&cdata, a, width);
+                        let v = read_le(&cdata, a, width);
                         w.write(dst, lane, v);
                     }
                 }
@@ -502,7 +502,7 @@ impl SmCore {
                 let slot = &self.slots[slot_idx];
                 let mut vals = [0u64; WARP_SIZE];
                 for lane in lanes(mask) {
-                    vals[lane] = Self::bytes_read(&slot.smem, self.scratch_addrs[lane], width);
+                    vals[lane] = read_le(&slot.smem, self.scratch_addrs[lane], width);
                 }
                 let w = self.warps[widx]
                     .as_mut()
@@ -642,8 +642,6 @@ impl SmCore {
         gmem: &dyn GlobalMem,
         out: &mut TickOutput,
     ) {
-        let lat = self.config.lat;
-        let _ = lat;
         match space {
             Space::Param | Space::Const | Space::Tex => {
                 debug_assert!(false, "store to read-only space {space}");
@@ -834,7 +832,7 @@ impl SmCore {
                 let slot = &mut self.slots[slot_idx];
                 let mut olds = [0u64; WARP_SIZE];
                 for lane in lanes(mask) {
-                    let old = Self::bytes_read(&slot.smem, addrs[lane], Width::B64);
+                    let old = read_le(&slot.smem, addrs[lane], Width::B64);
                     let (new, o) = op.apply(old, srcs[lane], cmps[lane]);
                     Self::bytes_write(&mut slot.smem, addrs[lane], Width::B64, new);
                     olds[lane] = o;

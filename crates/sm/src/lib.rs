@@ -29,7 +29,7 @@ mod ports;
 mod stats;
 mod warp;
 
-pub use crate::core::{CtaConfig, GlobalMem, SmCore, Trap, WarpReport, WarpWait};
+pub use crate::core::{read_le, CtaConfig, GlobalMem, SmCore, Trap, WarpReport, WarpWait};
 pub use crate::ports::{
     CompletedCta, DeviceLaunch, MemOp, MemRequest, ReqKind, SmPorts, TickOutput,
 };
@@ -146,6 +146,21 @@ mod tests {
     };
     use std::collections::HashMap;
     use std::sync::Arc;
+
+    #[test]
+    fn read_le_matches_byte_loop_inside_and_past_the_end() {
+        let data: Vec<u8> = (1..=20).collect();
+        for addr in (0..26).chain([u64::MAX - 3]) {
+            for width in [Width::B8, Width::B16, Width::B32, Width::B64] {
+                let mut want = 0u64;
+                for i in 0..width.bytes() {
+                    let b = data.get(addr.wrapping_add(i) as usize).copied();
+                    want |= (b.unwrap_or(0) as u64) << (8 * i);
+                }
+                assert_eq!(read_le(&data, addr, width), want, "{addr} {width:?}");
+            }
+        }
+    }
 
     /// Simple functional memory for tests.
     #[derive(Default)]

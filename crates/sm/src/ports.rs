@@ -128,6 +128,20 @@ pub struct TickOutput {
     pub issued: u64,
 }
 
+impl TickOutput {
+    /// Whether the cycle produced nothing at all — no buffered item and no
+    /// issued instruction — so the device has nothing to merge from it.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.issued == 0
+            && self.mem_requests.is_empty()
+            && self.mem_ops.is_empty()
+            && self.launches.is_empty()
+            && self.completed.is_empty()
+            && self.traps.is_empty()
+    }
+}
+
 use crate::core::Trap;
 
 /// The SM's side of the port boundary: one inbound reply queue plus the
@@ -146,5 +160,68 @@ impl SmPorts {
     /// Empty ports.
     pub fn new() -> Self {
         SmPorts::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tick_output_is_empty_checks_every_field() {
+        assert!(TickOutput::default().is_empty());
+        let issued_only = TickOutput {
+            issued: 1,
+            ..TickOutput::default()
+        };
+        assert!(!issued_only.is_empty(), "an issued count alone is output");
+        let mut out = TickOutput::default();
+        out.mem_requests.push(MemRequest {
+            id: 0,
+            addr: 0,
+            kind: ReqKind::Load,
+            tex: false,
+        });
+        assert!(!out.is_empty());
+        let mut out = TickOutput::default();
+        out.mem_ops.push(MemOp::Store {
+            addr: 0,
+            width: Width::B32,
+            value: 0,
+        });
+        assert!(!out.is_empty());
+        let mut out = TickOutput::default();
+        out.launches.push(DeviceLaunch {
+            kernel: 0,
+            grid_x: 1,
+            block_x: 1,
+            params: Vec::new(),
+            parent_slot: 0,
+            parent_grid: 0,
+        });
+        assert!(!out.is_empty());
+        let mut out = TickOutput::default();
+        out.completed.push(CompletedCta {
+            grid_handle: 0,
+            slot: 0,
+        });
+        assert!(!out.is_empty());
+        let mut out = TickOutput::default();
+        out.traps.push(Trap {
+            kind: ggpu_isa::FaultKind::IllegalAddress,
+            kernel: ggpu_isa::KernelId(0),
+            slot: 0,
+            cta_linear: 0,
+            warp: 0,
+            warp_in_cta: 0,
+            lane_mask: 1,
+            pc: 0,
+            instr: String::new(),
+            addr: None,
+        });
+        assert!(!out.is_empty());
+        // Drained buffers keep their capacity but count as empty again.
+        out.traps.clear();
+        assert!(out.is_empty());
     }
 }

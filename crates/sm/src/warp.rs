@@ -218,8 +218,25 @@ pub fn lane_mask(n: u32) -> u32 {
     }
 }
 
-/// Iterate over set lanes of a mask.
-pub fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+/// Iterate over set lanes of a mask, in ascending order.
+///
+/// Walks the set bits directly, so the cost is one step per active lane
+/// rather than one per warp slot.
+#[inline]
+pub fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// The original filter-based [`lanes`], kept as the oracle for the
+/// set-bit walk.
+#[cfg(test)]
+pub(crate) fn lanes_oracle(mask: u32) -> impl Iterator<Item = usize> {
     (0..WARP_SIZE).filter(move |l| mask & (1 << l) != 0)
 }
 
@@ -334,5 +351,24 @@ mod tests {
         assert_eq!(lanes(0b1011).collect::<Vec<_>>(), vec![0, 1, 3]);
         assert_eq!(lanes(0).count(), 0);
         assert_eq!(lanes(FULL_MASK).count(), 32);
+    }
+
+    #[test]
+    fn lanes_matches_oracle_on_random_masks() {
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let edges = [0, 1, 1 << 31, 0x8000_0001, 0x5555_5555, FULL_MASK];
+        let random = (0..10_000).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u32
+        });
+        for mask in edges.into_iter().chain(random) {
+            assert_eq!(
+                lanes(mask).collect::<Vec<_>>(),
+                lanes_oracle(mask).collect::<Vec<_>>(),
+                "mask {mask:#x}"
+            );
+        }
     }
 }
