@@ -1,15 +1,10 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [names...] [--scale tiny|small|paper] [--threads N] [--json] [--trace]
+//! figures [names...] [--scale tiny|small|paper] [--json] [--trace]
 //! figures all --scale small
-//! figures fig2 --threads 4          # shard the cycle engine over 4 workers
 //! figures --trace --scale tiny      # profiling run, Chrome-trace export only
 //! ```
-//!
-//! `--threads N` (equivalently the `GGPU_SIM_THREADS` environment variable)
-//! sets the engine's worker-thread count. Results are bit-identical for any
-//! value — it is purely a wall-clock knob.
 //!
 //! Every table/figure is also written to `results/<name>.csv`
 //! (override the directory with `GGPU_RESULTS_DIR`). `--json` and
@@ -40,17 +35,6 @@ fn main() {
                     }
                 };
             }
-            "--threads" => {
-                // Every GpuConfig in the harness is seeded from rtx3070(),
-                // which reads GGPU_SIM_THREADS, so the flag just sets it.
-                match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => std::env::set_var("GGPU_SIM_THREADS", n.to_string()),
-                    _ => {
-                        eprintln!("--threads expects a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--json" => json = true,
             "--trace" => trace = true,
             name => names.push(name.to_string()),
@@ -65,7 +49,7 @@ fn main() {
         }
         eprintln!(
             "usage: figures [all|table1|table2|table3|fig2..fig22|profile]... \
-             [--scale tiny|small|paper] [--threads N] [--json] [--trace]"
+             [--scale tiny|small|paper] [--json] [--trace]"
         );
         eprintln!("experiments: {}", figures::ALL_EXPERIMENTS.join(" "));
         std::process::exit(2);

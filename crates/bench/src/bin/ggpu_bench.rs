@@ -8,7 +8,7 @@
 //! ```
 //!
 //! * `run` executes the declarative benchmark matrix (engine throughput
-//!   over threads/fast-forward/stream-isolation plus the
+//!   over fast-forward/stream-isolation plus the
 //!   sustained-traffic serving sweep), measures every cell as warmup +
 //!   N timed iterations, and **appends** one provenance-stamped JSONL
 //!   record per measurement to `results/records/measurements.jsonl`.

@@ -9,7 +9,7 @@
 //!   per-network-endpoint counters, rendered as text heatmaps.
 //!
 //! ```text
-//! ggpu-prof <WORKLOAD> [--scale tiny|small|paper] [--threads N] [--cdp] [--top N]
+//! ggpu-prof <WORKLOAD> [--scale tiny|small|paper] [--cdp] [--top N]
 //! ggpu-prof SW --scale tiny            # annotated listing + heatmaps
 //! ggpu-prof diff a.json b.json [--limit N]
 //! ```
@@ -26,8 +26,8 @@
 //! same workload, or any two files the suite emits.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 
+use ggpu_bench::{results_dir, write_json_doc};
 use ggpu_core::json::{Json, JsonWriter};
 use ggpu_core::{
     benchmark, render_table, GpuConfig, KernelPcProfile, PcProfile, ProfileReport, Scale,
@@ -44,7 +44,7 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ggpu-prof <WORKLOAD> [--scale tiny|small|paper] [--threads N] [--cdp] [--top N]\n\
+        "usage: ggpu-prof <WORKLOAD> [--scale tiny|small|paper] [--cdp] [--top N]\n\
          \u{20}      ggpu-prof diff <a.json> <b.json> [--limit N]\n\
          workloads: {}",
         BENCHMARKS.join(" ")
@@ -70,12 +70,6 @@ fn run_main(args: &[String]) -> i32 {
                     _ => usage(),
                 }
             }
-            "--threads" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                // Every GpuConfig is seeded from rtx3070(), which reads
-                // GGPU_SIM_THREADS, so the flag just sets it.
-                Some(n) if n >= 1 => std::env::set_var("GGPU_SIM_THREADS", n.to_string()),
-                _ => usage(),
-            },
             "--cdp" => cdp = true,
             "--top" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => top = n,
@@ -111,11 +105,10 @@ fn run_main(args: &[String]) -> i32 {
         abbrev.to_lowercase()
     };
     println!(
-        "ggpu-prof: {} ({}), cdp={}, sim_threads={}\n{}\n",
+        "ggpu-prof: {} ({}), cdp={}\n{}\n",
         abbrev,
         scale_name(scale),
         cdp,
-        r.sim_threads,
         r.detail
     );
     println!(
@@ -144,7 +137,7 @@ fn run_main(args: &[String]) -> i32 {
         println!("profile complete: 0 samples dropped, 0 events dropped");
     }
 
-    write_outputs(&tag, abbrev, scale, cdp, &r.stats, r.sim_threads, &profile);
+    write_outputs(&tag, abbrev, scale, cdp, &r.stats, &profile);
     if !r.verified {
         eprintln!("WARNING: {abbrev} failed functional validation");
         return 1;
@@ -365,12 +358,6 @@ fn print_mem_heatmap(units: &UnitProfile) {
 
 // ---- exports ---------------------------------------------------------------
 
-/// Directory machine-readable outputs land in (`results/` unless
-/// `GGPU_RESULTS_DIR` overrides it) — the shared workspace resolution.
-fn results_dir() -> PathBuf {
-    ggpu_bench::results_dir()
-}
-
 fn csv_cell(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -410,32 +397,12 @@ fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Write a JSON document after validating it parses, so every emitted file
-/// is machine-readable by construction.
-fn write_json_doc(name: &str, doc: &str) {
-    if let Err(e) = Json::parse(doc) {
-        eprintln!("warning: {name} JSON failed validation, not writing: {e}");
-        return;
-    }
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, doc) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
 fn write_outputs(
     tag: &str,
     abbrev: &str,
     scale: Scale,
     cdp: bool,
     stats: &ggpu_core::RunStats,
-    sim_threads: usize,
     profile: &ProfileReport,
 ) {
     let mut w = JsonWriter::new();
@@ -443,7 +410,6 @@ fn write_outputs(
     w.str("workload", abbrev)
         .str("scale", scale_name(scale))
         .bool("cdp", cdp)
-        .u64("sim_threads", sim_threads as u64)
         .f64("ipc", stats.ipc())
         .raw("profile", &profile.to_json());
     w.end_obj();

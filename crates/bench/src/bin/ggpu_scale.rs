@@ -33,9 +33,8 @@
 //! single-device run or if per-device counters fail to telescope to the
 //! node totals.
 
-use std::path::PathBuf;
-
-use ggpu_core::json::{Json, JsonWriter};
+use ggpu_bench::{results_dir, write_json_doc};
+use ggpu_core::json::JsonWriter;
 use ggpu_core::render_table;
 use ggpu_genomics::random_genome;
 use ggpu_isa::{LaunchDims, Program};
@@ -617,10 +616,6 @@ fn verify_telescoping(stats: &ggpu_sim::NodeStats) {
 
 // ---- exports ---------------------------------------------------------------
 
-fn results_dir() -> PathBuf {
-    ggpu_bench::results_dir()
-}
-
 fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -636,24 +631,6 @@ fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
     let path = dir.join(format!("{name}.csv"));
     match std::fs::write(&path, out) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Write a JSON document after validating it parses.
-fn write_json_doc(name: &str, doc: &str) {
-    if let Err(e) = Json::parse(doc) {
-        eprintln!("warning: {name} JSON failed validation, not writing: {e}");
-        return;
-    }
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, doc) {
         Ok(()) => println!("[wrote {}]", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }

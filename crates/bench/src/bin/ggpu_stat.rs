@@ -8,8 +8,8 @@
 //! slowest requests with the device events causally tied to each.
 //!
 //! ```text
-//! ggpu-stat [SCENARIO] [--jobs N] [--wave N] [--seed S] [--threads N]
-//!           [--top N] [--trace] [--tag NAME]
+//! ggpu-stat [SCENARIO] [--jobs N] [--wave N] [--seed S] [--top N]
+//!           [--trace] [--tag NAME]
 //! scenarios: steady    well-provisioned queue, no faults (default)
 //!            overload  burst arrivals into a shallow queue (backpressure)
 //!            faults    the soak fault plan: dropped PCIe transfer +
@@ -26,9 +26,9 @@
 //! (load at <https://ui.perfetto.dev>).
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 
-use ggpu_core::json::{Json, JsonWriter};
+use ggpu_bench::{results_dir, write_json_doc};
+use ggpu_core::json::JsonWriter;
 use ggpu_core::render_table;
 use ggpu_genomics::random_genome;
 use ggpu_serve::traffic::{self, GENOME_LEN};
@@ -59,7 +59,7 @@ impl Scenario {
 fn usage() -> ! {
     eprintln!(
         "usage: ggpu-stat [steady|overload|faults] [--jobs N] [--wave N] [--seed S]\n\
-         \u{20}                [--threads N] [--top N] [--trace] [--tag NAME]"
+         \u{20}                [--top N] [--trace] [--tag NAME]"
     );
     std::process::exit(2);
 }
@@ -89,10 +89,6 @@ fn main() {
             },
             "--seed" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(n) => seed = n,
-                _ => usage(),
-            },
-            "--threads" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => std::env::set_var("GGPU_SIM_THREADS", n.to_string()),
                 _ => usage(),
             },
             "--top" => match it.next().and_then(|s| s.parse().ok()) {
@@ -415,10 +411,6 @@ fn print_slowest(r: &ServeReport, top: usize) {
 
 // ---- exports ---------------------------------------------------------------
 
-fn results_dir() -> PathBuf {
-    ggpu_bench::results_dir()
-}
-
 fn csv_cell(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -453,25 +445,6 @@ fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
     let path = dir.join(format!("{name}.csv"));
     match std::fs::write(&path, out) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Write a JSON document after validating it parses, so every emitted
-/// file is machine-readable by construction.
-fn write_json_doc(name: &str, doc: &str) {
-    if let Err(e) = Json::parse(doc) {
-        eprintln!("warning: {name} JSON failed validation, not writing: {e}");
-        return;
-    }
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, doc) {
         Ok(()) => println!("[wrote {}]", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }

@@ -6,9 +6,7 @@
 //! simulate a scaled workload); the *shape* — who wins, by what rough
 //! factor, where the crossovers are — is what EXPERIMENTS.md tracks.
 
-use std::path::PathBuf;
-
-use ggpu_core::json::{Json, JsonWriter};
+use ggpu_core::json::JsonWriter;
 use ggpu_core::{
     all_benchmarks, chrome_trace_json, cpu_baseline, render_table, sram_usage, BenchResult,
     Benchmark, GpuConfig, ProfileReport, Scale, TraceEvent,
@@ -18,11 +16,7 @@ use ggpu_isa::{InstrClass, Space};
 use ggpu_mem::DramScheduler;
 use ggpu_sm::{SchedPolicy, StallReason};
 
-/// Directory machine-readable outputs (CSV/JSON) land in — the shared
-/// workspace resolution from [`crate::results_dir`].
-fn results_dir() -> PathBuf {
-    crate::results_dir()
-}
+use crate::{results_dir, write_json_doc};
 
 /// Quote a CSV cell when it contains a delimiter, quote, or newline.
 fn csv_cell(s: &str) -> String {
@@ -70,31 +64,6 @@ fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
 fn emit(name: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("{}", render_table(headers, rows));
     write_csv(name, headers, rows);
-}
-
-/// Write a JSON document to `results/<name>.json` after validating it
-/// parses, so every emitted file is machine-readable by construction.
-fn write_json_doc(name: &str, doc: &str) -> Option<PathBuf> {
-    if let Err(e) = Json::parse(doc) {
-        eprintln!("warning: {name}.json failed self-validation: {e}");
-        return None;
-    }
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return None;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, doc) {
-        Ok(()) => {
-            println!("[wrote {}]", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-            None
-        }
-    }
 }
 
 /// All benchmark labels including CDP variants, in display order.
@@ -833,8 +802,8 @@ pub fn extension_traceback(scale: Scale) {
 /// * `results/trace_<scale>.json` — a single Chrome-trace file with one
 ///   process row per variant; load it at <https://ui.perfetto.dev>.
 ///
-/// Both documents are re-parsed with [`Json::parse`] before being written,
-/// so an export that reaches disk is well-formed by construction.
+/// Both documents are re-parsed by [`crate::write_json_doc`] before being
+/// written, so an export that reaches disk is well-formed by construction.
 pub fn profile(scale: Scale, write_json: bool, write_trace: bool) {
     println!("PROFILE: time-resolved per-kernel records, interval samples, event trace\n");
     let mut config = GpuConfig::rtx3070();

@@ -28,6 +28,8 @@ pub mod measure;
 
 use std::path::PathBuf;
 
+use ggpu_core::json::Json;
+
 /// Directory machine-readable outputs (CSV/JSON/records) land in.
 ///
 /// `GGPU_RESULTS_DIR` overrides; the default is the workspace-root
@@ -44,4 +46,42 @@ pub fn results_dir() -> PathBuf {
 /// The append-only measurement store, `<results_dir()>/records/`.
 pub fn records_dir() -> PathBuf {
     results_dir().join("records")
+}
+
+/// Write `doc` to `<results_dir()>/<name>.json` after checking it parses,
+/// so every emitted file is machine-readable by construction. Failures
+/// warn on stderr and return `None`; a malformed document writes nothing.
+pub fn write_json_doc(name: &str, doc: &str) -> Option<PathBuf> {
+    if let Err(e) = Json::parse(doc) {
+        eprintln!("warning: {name}.json failed self-validation: {e}");
+        return None;
+    }
+    let dir = results_dir();
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("warning: cannot create {}: {e}", dir.display());
+        return None;
+    }
+    let path = dir.join(format!("{name}.json"));
+    match std::fs::write(&path, doc) {
+        Ok(()) => {
+            println!("[wrote {}]", path.display());
+            Some(path)
+        }
+        Err(e) => {
+            eprintln!("warning: cannot write {}: {e}", path.display());
+            None
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn malformed_json_doc_is_not_written() {
+        let name = "write_json_doc_malformed_probe";
+        assert_eq!(write_json_doc(name, "{\"a\": [1, 2"), None);
+        assert!(!results_dir().join(format!("{name}.json")).exists());
+    }
 }

@@ -14,8 +14,6 @@
 //! regression that a quiet host would not. A change beyond the bound in
 //! the *bad* direction is a regression; beyond it in the good direction
 //! is reported as an improvement (worth refreshing the baseline).
-//! Records with an absolute floor (parallel speedup ≥ 0.9) additionally
-//! fail whenever the new median is below the floor, baseline or not.
 
 use std::fmt::Write as _;
 
@@ -35,8 +33,6 @@ pub enum Verdict {
     Improved,
     /// Worse than the noise bound allows — fails the gate.
     Regressed,
-    /// Below the record's absolute floor — fails the gate.
-    BelowFloor,
     /// Present only in the new set (first measurement of a cell).
     NewOnly,
     /// Present only in the baseline (cell not measured this run).
@@ -51,7 +47,6 @@ impl Verdict {
             Verdict::Unchanged => "ok",
             Verdict::Improved => "improved",
             Verdict::Regressed => "REGRESSED",
-            Verdict::BelowFloor => "BELOW FLOOR",
             Verdict::NewOnly => "new",
             Verdict::BaselineOnly => "unmeasured",
             Verdict::Info => "info",
@@ -60,7 +55,7 @@ impl Verdict {
 
     /// Whether this verdict fails the gate.
     pub fn fails(self) -> bool {
-        matches!(self, Verdict::Regressed | Verdict::BelowFloor)
+        self == Verdict::Regressed
     }
 }
 
@@ -162,8 +157,6 @@ fn compare_pair(base: &Record, new: &Record) -> CmpRow {
     };
     let verdict = if new.direction == Direction::Info {
         Verdict::Info
-    } else if new.abs_floor.is_some_and(|f| new.summary.median < f) {
-        Verdict::BelowFloor
     } else {
         match (new.direction, ratio) {
             (Direction::Higher, Some(r)) if r < 1.0 - bound => Verdict::Regressed,
@@ -186,16 +179,6 @@ fn compare_pair(base: &Record, new: &Record) -> CmpRow {
 }
 
 fn unmatched(r: &Record, verdict: Verdict) -> CmpRow {
-    // A brand-new gated cell with an absolute floor still has to clear
-    // it — the speedup gate must hold on the very first measurement.
-    let verdict = if verdict == Verdict::NewOnly
-        && r.direction != Direction::Info
-        && r.abs_floor.is_some_and(|f| r.summary.median < f)
-    {
-        Verdict::BelowFloor
-    } else {
-        verdict
-    };
     let (base_median, new_median) = if verdict == Verdict::BaselineOnly {
         (Some(r.summary.median), None)
     } else {

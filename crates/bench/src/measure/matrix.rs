@@ -1,13 +1,13 @@
 //! The declarative benchmark matrix: `workload × scale × engine config`.
 //!
 //! Cells are *data*, not code — the runner executes whatever the matrix
-//! declares, so adding a workload, a thread count, or a load level is a
+//! declares, so adding a workload, an engine setting, or a load level is a
 //! one-line change here and every downstream consumer (`run`, `report`,
 //! `cmp`, CI) picks it up. Two suites:
 //!
 //! * **engine** — raw cycle-engine throughput on the PR-5 probe
 //!   workloads (SW plain DP, NvB FM-index, STAR with CDP), swept over
-//!   worker threads, fast-forward on/off, and stream-isolation.
+//!   fast-forward on/off and stream-isolation.
 //! * **serve** — sustained-traffic serving throughput: the seeded job
 //!   mix offered to [`ggpu_serve::Service`] at a fixed per-round load,
 //!   swept over load level and device count (multi-GPU scaling of the
@@ -21,9 +21,6 @@ use super::record::EngineAxes;
 /// throughput bench established: plain data-parallel DP, FM-index
 /// binning + search, and CDP device-side launches.
 pub const ENGINE_WORKLOADS: [(&str, bool); 3] = [("SW", false), ("NvB", false), ("STAR", true)];
-
-/// Worker-thread count for the parallel-engine cells.
-pub const PARALLEL_THREADS: usize = 4;
 
 /// What a cell runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +45,7 @@ pub enum CellKind {
 /// One benchmark-matrix cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
-    /// Stable cell id (`engine/SW/tiny/t1+ff`, `serve/tiny/load6/t1+ff`).
+    /// Stable cell id (`engine/SW/tiny/ff`, `serve/tiny/load6/ff`).
     pub id: String,
     /// What to run.
     pub kind: CellKind,
@@ -115,15 +112,11 @@ pub fn matrix(quick: bool) -> Vec<Cell> {
     let serve_iters = if quick { 2 } else { 3 };
     let mut cells = Vec::new();
 
-    // Engine suite: every probe workload at serial/parallel fast-forward
-    // plus a fast-forward-off point quantifying what the skipper buys.
+    // Engine suite: every probe workload with fast-forward, plus a
+    // fast-forward-off point quantifying what the skipper buys.
     for (abbrev, cdp) in ENGINE_WORKLOADS {
         for axes in [
             EngineAxes::base(),
-            EngineAxes {
-                sim_threads: PARALLEL_THREADS,
-                ..EngineAxes::base()
-            },
             EngineAxes {
                 fast_forward: false,
                 ..EngineAxes::base()

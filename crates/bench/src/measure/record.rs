@@ -5,7 +5,7 @@
 //! its timed iterations and stamped with full provenance. The store is
 //! **append-only** — `ggpu-bench run` only ever adds lines — so the file
 //! accumulates the engine's performance trajectory commit over commit
-//! instead of being overwritten like the old `bench_engine.json`.
+//! instead of being overwritten.
 //!
 //! `results/records/baseline.jsonl` holds the curated record set the CI
 //! regression gate compares against (same format, one blessed run).
@@ -19,7 +19,7 @@ use super::provenance::Provenance;
 use super::stats::Summary;
 
 /// Store-format version, bumped on incompatible record changes.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Which way "better" points for a metric, which is what makes a diff a
 /// *regression* rather than a mere change.
@@ -60,8 +60,6 @@ impl Direction {
 /// stay comparable cell-by-cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineAxes {
-    /// Requested cycle-engine worker threads.
-    pub sim_threads: usize,
     /// Idle-cycle fast-forward on/off.
     pub fast_forward: bool,
     /// Devices in the node (serving cells shard across them).
@@ -71,10 +69,9 @@ pub struct EngineAxes {
 }
 
 impl EngineAxes {
-    /// The single-device, single-thread, fast-forward-on default cell.
+    /// The single-device, fast-forward-on default cell.
     pub fn base() -> EngineAxes {
         EngineAxes {
-            sim_threads: 1,
             fast_forward: true,
             n_devices: 1,
             stream_isolation: false,
@@ -82,13 +79,9 @@ impl EngineAxes {
     }
 
     /// Compact human-readable label, also part of the cell id:
-    /// `t4+ff`, `t1-ff`, `t1+ff+iso`, `t1+ff/d2`.
+    /// `ff`, `noff`, `ff+iso`, `ff/d2`.
     pub fn label(&self) -> String {
-        let mut s = format!(
-            "t{}{}",
-            self.sim_threads,
-            if self.fast_forward { "+ff" } else { "-ff" }
-        );
+        let mut s = String::from(if self.fast_forward { "ff" } else { "noff" });
         if self.stream_isolation {
             s.push_str("+iso");
         }
@@ -113,7 +106,7 @@ fn fnv1a64(s: &str) -> u64 {
 /// One measurement: a single metric of a single matrix cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
-    /// Cell id, e.g. `engine/SW/tiny/t1+ff` or `serve/tiny/load6/t1+ff`.
+    /// Cell id, e.g. `engine/SW/tiny/ff` or `serve/tiny/load6/ff`.
     pub id: String,
     /// Benchmark family: `engine` or `serve`.
     pub suite: String,
@@ -130,9 +123,6 @@ pub struct Record {
     /// Configured minimum noise bound (relative). The detector widens it
     /// by the measured noise but never tightens below this.
     pub rel_bound: f64,
-    /// Absolute floor for `Higher` metrics (e.g. parallel speedup 0.9):
-    /// dropping below it fails even with no baseline counterpart.
-    pub abs_floor: Option<f64>,
     /// Summarized timed iterations.
     pub summary: Summary,
     /// Warmup runs discarded before sampling.
@@ -153,12 +143,11 @@ impl Record {
     /// scale), so two records are comparable iff their hashes match.
     pub fn config_hash(&self) -> String {
         let canon = format!(
-            "{}|{}|{}|{}|threads={},ff={},devices={},iso={}",
+            "{}|{}|{}|{}|ff={},devices={},iso={}",
             self.id,
             self.metric,
             self.scale,
             self.workload,
-            self.axes.sim_threads,
             self.axes.fast_forward,
             self.axes.n_devices,
             self.axes.stream_isolation,
@@ -178,12 +167,8 @@ impl Record {
             .str("metric", &self.metric)
             .str("unit", &self.unit)
             .str("direction", self.direction.tag())
-            .f64("rel_bound", self.rel_bound);
-        match self.abs_floor {
-            Some(f) => w.f64("abs_floor", f),
-            None => w.raw("abs_floor", "null"),
-        };
-        w.f64("median", self.summary.median)
+            .f64("rel_bound", self.rel_bound)
+            .f64("median", self.summary.median)
             .f64("mad", self.summary.mad)
             .begin_arr_key("samples");
         for s in &self.summary.samples {
@@ -192,7 +177,6 @@ impl Record {
         w.end_arr()
             .u64("warmup", self.warmup as u64)
             .begin_obj_key("config")
-            .u64("sim_threads", self.axes.sim_threads as u64)
             .bool("fast_forward", self.axes.fast_forward)
             .u64("n_devices", self.axes.n_devices as u64)
             .bool("stream_isolation", self.axes.stream_isolation)
@@ -224,7 +208,6 @@ impl Record {
         }
         let cfg = v.get("config").ok_or("missing `config`")?;
         let axes = EngineAxes {
-            sim_threads: req_u64(cfg, "sim_threads")? as usize,
             fast_forward: req_bool(cfg, "fast_forward")?,
             n_devices: req_u64(cfg, "n_devices")? as usize,
             stream_isolation: req_bool(cfg, "stream_isolation")?,
@@ -252,10 +235,6 @@ impl Record {
             unit: req_str(&v, "unit")?,
             direction: Direction::parse(&req_str(&v, "direction")?)?,
             rel_bound: req_f64(&v, "rel_bound")?,
-            abs_floor: match v.get("abs_floor") {
-                Some(Json::Null) | None => None,
-                Some(j) => Some(j.as_f64().ok_or("bad abs_floor")?),
-            },
             summary: Summary {
                 median: req_f64(&v, "median")?,
                 mad: req_f64(&v, "mad")?,

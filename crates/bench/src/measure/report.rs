@@ -93,21 +93,6 @@ fn engine_section(out: &mut String, records: &[Record]) {
             &rows
         )
     );
-    for r in records.iter().filter(|r| r.metric == "speedup_n_over_1") {
-        let per: Vec<String> = r
-            .extra
-            .iter()
-            .map(|(k, v)| format!("{}={v:.2}", k.trim_start_matches("speedup_")))
-            .collect();
-        let _ = writeln!(
-            out,
-            "best parallel speedup ({}): {:.2} [floor {}] ({})\n",
-            r.scale,
-            r.summary.median,
-            r.abs_floor.map(|f| f.to_string()).unwrap_or_default(),
-            per.join(", "),
-        );
-    }
 }
 
 fn serve_section(out: &mut String, records: &[Record]) {

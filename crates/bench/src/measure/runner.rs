@@ -12,7 +12,7 @@ use ggpu_serve::traffic::{self, OfferedLoad};
 use ggpu_serve::Service;
 use rand::SeedableRng;
 
-use super::matrix::{matrix, scale_tag, Cell, CellKind, ENGINE_WORKLOADS, PARALLEL_THREADS};
+use super::matrix::{matrix, scale_tag, Cell, CellKind};
 use super::provenance::{self, Provenance};
 use super::record::{Direction, EngineAxes, Record};
 use super::stats::Summary;
@@ -25,9 +25,6 @@ pub const THROUGHPUT_REL_BOUND: f64 = 0.30;
 /// deterministic (zero measured noise), so the bound only absorbs
 /// legitimate code-change drift between baseline refreshes.
 pub const LATENCY_REL_BOUND: f64 = 0.25;
-/// Absolute floor on the best parallel-engine speedup — the old gate's
-/// "the parallel engine must not collapse against the serial one".
-pub const SPEEDUP_FLOOR: f64 = 0.9;
 /// Seed of the serving benchmark's job mix.
 pub const SERVE_SEED: u64 = 42;
 
@@ -53,18 +50,15 @@ pub struct EngineSample {
     pub skipped: u64,
     /// Wall-clock seconds of the run.
     pub secs: f64,
-    /// Worker threads the engine actually used (host-clamped).
-    pub resolved_threads: usize,
 }
 
 /// The device configuration engine cells run under: wider than
-/// `test_small` so the SM phase dominates and sharding has work.
+/// `test_small` so the SM phase dominates.
 pub fn engine_gpu_config(axes: &EngineAxes) -> GpuConfig {
     GpuConfig {
         n_sms: 16,
         ..GpuConfig::test_small()
     }
-    .with_sim_threads(axes.sim_threads)
     .with_fast_forward(axes.fast_forward)
     .with_stream_isolation(axes.stream_isolation)
 }
@@ -83,7 +77,6 @@ pub fn run_engine_once(scale: Scale, abbrev: &str, cdp: bool, axes: &EngineAxes)
         cycles: r.kernel_cycles,
         skipped: r.fast_forward_skipped_cycles,
         secs,
-        resolved_threads: r.sim_threads,
     }
 }
 
@@ -148,7 +141,6 @@ fn mk_record(
         unit: spec.unit.to_string(),
         direction: spec.direction,
         rel_bound: spec.rel_bound,
-        abs_floor: None,
         summary,
         warmup: cell.warmup,
         axes: cell.axes.clone(),
@@ -181,10 +173,6 @@ fn run_engine_cell(
         (
             "fast_forward_skipped_cycles".to_string(),
             last.skipped as f64,
-        ),
-        (
-            "resolved_sim_threads".to_string(),
-            last.resolved_threads as f64,
         ),
     ];
     mk_record(
@@ -299,67 +287,8 @@ fn run_serve_cell(
         .collect()
 }
 
-/// Derive the best parallel-engine speedup across workloads from the
-/// already-measured engine cells, gated by [`SPEEDUP_FLOOR`].
-fn derive_speedup(
-    records: &[Record],
-    quick: bool,
-    run_id: &str,
-    prov: &Provenance,
-) -> Option<Record> {
-    let scale = if quick { Scale::Tiny } else { Scale::Small };
-    let serial = EngineAxes::base();
-    let parallel = EngineAxes {
-        sim_threads: PARALLEL_THREADS,
-        ..EngineAxes::base()
-    };
-    let median_of = |workload: &str, axes: &EngineAxes| {
-        records
-            .iter()
-            .find(|r| r.metric == "cycles_per_sec" && r.workload == workload && &r.axes == axes)
-            .map(|r| r.summary.median)
-    };
-    let mut ratios = Vec::new();
-    for (abbrev, _) in ENGINE_WORKLOADS {
-        if let (Some(one), Some(par)) = (median_of(abbrev, &serial), median_of(abbrev, &parallel)) {
-            if one > 0.0 {
-                ratios.push((abbrev, par / one));
-            }
-        }
-    }
-    let (_, best) = ratios
-        .iter()
-        .copied()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))?;
-    let extra = ratios
-        .iter()
-        .map(|(w, r)| (format!("speedup_{w}"), *r))
-        .collect();
-    Some(Record {
-        id: format!("engine/{}/best_parallel_speedup", scale_tag(scale)),
-        suite: "engine".to_string(),
-        workload: "all".to_string(),
-        scale: scale_tag(scale).to_string(),
-        metric: "speedup_n_over_1".to_string(),
-        unit: "ratio".to_string(),
-        direction: Direction::Higher,
-        // The floor is the gate; the relative bound is left at 100% so a
-        // host with fewer cores than the baseline's cannot fake a
-        // regression (speedup is the one metric whose baseline value is
-        // hardware-shaped, not engine-shaped).
-        rel_bound: 1.0,
-        abs_floor: Some(SPEEDUP_FLOOR),
-        summary: Summary::of(vec![best]),
-        warmup: 0,
-        axes: parallel,
-        extra,
-        run_id: run_id.to_string(),
-        prov: prov.clone(),
-    })
-}
-
 /// Run every matrix cell selected by `opts` and return the records, in
-/// matrix order (derived records last). Progress goes to stderr.
+/// matrix order. Progress goes to stderr.
 pub fn run_matrix(opts: &RunOptions) -> Vec<Record> {
     let prov = provenance::collect();
     let run_id = provenance::run_id(&prov);
@@ -411,11 +340,6 @@ pub fn run_matrix(opts: &RunOptions) -> Vec<Record> {
             done.summary.median,
             done.unit,
         );
-    }
-    if opts.filter.is_none() {
-        if let Some(sp) = derive_speedup(&records, opts.quick, &run_id, &prov) {
-            records.push(sp);
-        }
     }
     records
 }

@@ -1,22 +1,21 @@
-//! The engine's determinism contract: for any `sim_threads`, a run is
-//! **bit-identical** — same counters, same per-kernel records, same interval
-//! samples, same event trace, same faults — to the single-threaded run.
+//! The engine's determinism contract: two runs of the same work on fresh
+//! devices are **bit-identical** — same counters, same per-kernel records,
+//! same interval samples, same event trace, same faults — and so are runs
+//! with idle-cycle fast-forward on and off.
 //!
 //! Exercised over real suite benchmarks (including a CDP one, so device-side
-//! launches cross thread shards), over a fault-injection run, where the
-//! deadlock report must also be identical, and over a one-CTA grid on the
-//! full 78-SM device, where almost every SM takes the idle fast path.
+//! launches interleave with host grids), over a fault-injection run, where
+//! the deadlock report must also be identical, and over a one-CTA grid on
+//! the full 78-SM device, where almost every SM takes the idle fast path.
 
 use ggpu_core::{GpuConfig, RunStats, Scale, SuiteRunner};
 use ggpu_isa::{KernelBuilder, KernelId, LaunchDims, Operand, Program, Space, Width};
 use ggpu_sim::{FaultPlan, Gpu, IntervalSample, KernelRecord, PcProfile, SimError, TraceEvent};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
 /// Profiling-heavy configuration so the comparison covers every observable
 /// surface: counters, per-kernel records, interval samples, and the trace.
-fn profiled_cfg(threads: usize) -> GpuConfig {
-    let mut cfg = GpuConfig::test_small().with_sim_threads(threads);
+fn profiled_cfg() -> GpuConfig {
+    let mut cfg = GpuConfig::test_small();
     cfg.trace = true;
     cfg.sample_interval_cycles = 512;
     cfg
@@ -31,10 +30,10 @@ struct Observed {
     events: Vec<TraceEvent>,
 }
 
-fn run_bench(abbrev: &str, cdp: bool, threads: usize) -> Observed {
-    let runner = SuiteRunner::new(Scale::Tiny).with_config(profiled_cfg(threads));
+fn run_bench(abbrev: &str, cdp: bool) -> Observed {
+    let runner = SuiteRunner::new(Scale::Tiny).with_config(profiled_cfg());
     let r = runner.run_one(abbrev, cdp);
-    assert!(r.verified, "{abbrev} must verify at sim_threads={threads}");
+    assert!(r.verified, "{abbrev} must verify");
     let p = *r.profile.expect("profiling was enabled");
     Observed {
         stats: r.stats,
@@ -46,35 +45,29 @@ fn run_bench(abbrev: &str, cdp: bool, threads: usize) -> Observed {
 }
 
 #[test]
-fn suite_benchmarks_are_bit_identical_across_thread_counts() {
+fn suite_benchmarks_are_bit_identical_across_runs() {
     // SW: plain data-parallel DP. NvB: binning + search, different memory
     // shape. STAR with CDP: the orchestrator launches children from the
-    // device, so grid spawn/retire ordering crosses SM shards.
+    // device, so grid spawn/retire ordering is exercised too. Each run
+    // builds a fresh device, so no hash-map iteration order or other
+    // per-instance state may leak into the results.
     for (abbrev, cdp) in [("SW", false), ("NvB", false), ("STAR", true)] {
-        let base = run_bench(abbrev, cdp, THREAD_COUNTS[0]);
-        for &threads in &THREAD_COUNTS[1..] {
-            let other = run_bench(abbrev, cdp, threads);
-            assert_eq!(
-                base.stats, other.stats,
-                "{abbrev}: RunStats diverge at sim_threads={threads}"
-            );
-            assert_eq!(
-                base.kernel_cycles, other.kernel_cycles,
-                "{abbrev}: cycle count diverges at sim_threads={threads}"
-            );
-            assert_eq!(
-                base.kernels, other.kernels,
-                "{abbrev}: per-kernel records diverge at sim_threads={threads}"
-            );
-            assert_eq!(
-                base.samples, other.samples,
-                "{abbrev}: interval samples diverge at sim_threads={threads}"
-            );
-            assert_eq!(
-                base.events, other.events,
-                "{abbrev}: event trace diverges at sim_threads={threads}"
-            );
-        }
+        let base = run_bench(abbrev, cdp);
+        let other = run_bench(abbrev, cdp);
+        assert_eq!(base.stats, other.stats, "{abbrev}: RunStats diverge");
+        assert_eq!(
+            base.kernel_cycles, other.kernel_cycles,
+            "{abbrev}: cycle count diverges"
+        );
+        assert_eq!(
+            base.kernels, other.kernels,
+            "{abbrev}: per-kernel records diverge"
+        );
+        assert_eq!(
+            base.samples, other.samples,
+            "{abbrev}: interval samples diverge"
+        );
+        assert_eq!(base.events, other.events, "{abbrev}: event trace diverges");
     }
 }
 
@@ -93,8 +86,8 @@ fn loader_program() -> Program {
     p
 }
 
-fn run_fault_injected(threads: usize) -> (SimError, RunStats, u64) {
-    let mut config = GpuConfig::test_small().with_sim_threads(threads);
+fn run_fault_injected() -> (SimError, RunStats, u64) {
+    let mut config = GpuConfig::test_small();
     config.watchdog_cycles = 2_000;
     config.fault_plan = FaultPlan {
         drop_reply: Some(0),
@@ -110,34 +103,13 @@ fn run_fault_injected(threads: usize) -> (SimError, RunStats, u64) {
 }
 
 #[test]
-fn fault_injection_is_bit_identical_across_thread_counts() {
-    let (base_err, base_stats, base_cycle) = run_fault_injected(THREAD_COUNTS[0]);
+fn fault_injection_is_bit_identical_across_runs() {
+    let (base_err, base_stats, base_cycle) = run_fault_injected();
     assert!(matches!(base_err, SimError::Deadlock(_)), "{base_err}");
-    for &threads in &THREAD_COUNTS[1..] {
-        let (err, stats, cycle) = run_fault_injected(threads);
-        assert_eq!(
-            base_err, err,
-            "deadlock report diverges at sim_threads={threads}"
-        );
-        assert_eq!(
-            base_stats, stats,
-            "post-fault stats diverge at sim_threads={threads}"
-        );
-        assert_eq!(
-            base_cycle, cycle,
-            "fault cycle diverges at sim_threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn oversubscribed_thread_count_clamps_and_matches() {
-    // More workers than SMs: the engine clamps to the lane count and the
-    // run still matches single-threaded bit-for-bit.
-    let base = run_bench("SW", false, 1);
-    let over = run_bench("SW", false, 64);
-    assert_eq!(base.stats, over.stats);
-    assert_eq!(base.events, over.events);
+    let (err, stats, cycle) = run_fault_injected();
+    assert_eq!(base_err, err, "deadlock report diverges");
+    assert_eq!(base_stats, stats, "post-fault stats diverge");
+    assert_eq!(base_cycle, cycle, "fault cycle diverges");
 }
 
 /// Kernel: sixteen rounds of load, accumulate, exchange through shared
@@ -203,10 +175,8 @@ struct IdleHeavy {
     sm_cycles: Vec<u64>,
 }
 
-fn run_idle_heavy(fast_forward: bool, threads: usize) -> IdleHeavy {
-    let mut cfg = GpuConfig::rtx3070()
-        .with_sim_threads(threads)
-        .with_attribution(true);
+fn run_idle_heavy(fast_forward: bool) -> IdleHeavy {
+    let mut cfg = GpuConfig::rtx3070().with_attribution(true);
     cfg.fast_forward = fast_forward;
     cfg.kernel_records = true;
     cfg.trace = true;
@@ -234,7 +204,7 @@ fn run_idle_heavy(fast_forward: bool, threads: usize) -> IdleHeavy {
 
 #[test]
 fn idle_heavy_grid_is_bit_identical_across_engine_settings() {
-    let base = run_idle_heavy(true, 1);
+    let base = run_idle_heavy(true);
     assert!(base.stats.sm.issued > 0);
     assert_eq!(base.kernels.len(), 1);
     assert!(!base.events.is_empty());
@@ -245,11 +215,11 @@ fn idle_heavy_grid_is_bit_identical_across_engine_settings() {
         base.sm_cycles,
         base.elapsed
     );
-    for (fast_forward, threads) in [(true, 4), (false, 1), (false, 4)] {
-        let other = run_idle_heavy(fast_forward, threads);
+    for fast_forward in [true, false] {
+        let other = run_idle_heavy(fast_forward);
         assert!(
             base == other,
-            "one-CTA run diverges at fast_forward={fast_forward} sim_threads={threads}"
+            "one-CTA run diverges at fast_forward={fast_forward}"
         );
     }
 }

@@ -30,7 +30,6 @@ fn mk(id: &str, metric: &str, samples: Vec<f64>, run_id: &str, unix_time: u64) -
         unit: "cyc/s".to_string(),
         direction: Direction::Higher,
         rel_bound: 0.30,
-        abs_floor: None,
         summary: Summary::of(samples),
         warmup: 1,
         axes: EngineAxes::base(),
@@ -49,17 +48,15 @@ fn tmp_store(name: &str) -> PathBuf {
 #[test]
 fn jsonl_round_trip_preserves_every_field() {
     let mut r = mk(
-        "engine/SW/tiny/t1+ff",
+        "engine/SW/tiny/ff",
         "cycles_per_sec",
         vec![10.0, 11.0, 12.0],
         "abc-1",
         100,
     );
-    r.abs_floor = Some(0.9);
     r.direction = Direction::Lower;
     r.prov.git_dirty = true;
     r.axes = EngineAxes {
-        sim_threads: 4,
         fast_forward: false,
         n_devices: 2,
         stream_isolation: true,
@@ -80,14 +77,14 @@ fn jsonl_round_trip_preserves_every_field() {
 fn store_append_is_append_only_and_loads_in_order() {
     let path = tmp_store("append");
     let a = mk(
-        "engine/SW/tiny/t1+ff",
+        "engine/SW/tiny/ff",
         "cycles_per_sec",
         vec![10.0],
         "run-a",
         100,
     );
     let b = mk(
-        "engine/NvB/tiny/t1+ff",
+        "engine/NvB/tiny/ff",
         "cycles_per_sec",
         vec![20.0],
         "run-a",
@@ -102,7 +99,7 @@ fn store_append_is_append_only_and_loads_in_order() {
 #[test]
 fn tampered_line_is_rejected_on_load() {
     let r = mk(
-        "engine/SW/tiny/t1+ff",
+        "engine/SW/tiny/ff",
         "cycles_per_sec",
         vec![10.0],
         "run-a",
@@ -120,21 +117,21 @@ fn tampered_line_is_rejected_on_load() {
 #[test]
 fn latest_run_picks_newest_run_id() {
     let old = mk(
-        "engine/SW/tiny/t1+ff",
+        "engine/SW/tiny/ff",
         "cycles_per_sec",
         vec![10.0],
         "run-old",
         100,
     );
     let new1 = mk(
-        "engine/SW/tiny/t1+ff",
+        "engine/SW/tiny/ff",
         "cycles_per_sec",
         vec![11.0],
         "run-new",
         200,
     );
     let new2 = mk(
-        "engine/NvB/tiny/t1+ff",
+        "engine/NvB/tiny/ff",
         "cycles_per_sec",
         vec![21.0],
         "run-new",
@@ -148,14 +145,14 @@ fn latest_run_picks_newest_run_id() {
 fn cmp_passes_identical_and_within_noise_sets() {
     let base = vec![
         mk(
-            "engine/SW/tiny/t1+ff",
+            "engine/SW/tiny/ff",
             "cycles_per_sec",
             vec![100.0, 101.0],
             "b",
             100,
         ),
         mk(
-            "engine/NvB/tiny/t1+ff",
+            "engine/NvB/tiny/ff",
             "cycles_per_sec",
             vec![200.0, 201.0],
             "b",
@@ -169,14 +166,14 @@ fn cmp_passes_identical_and_within_noise_sets() {
     // Within the 30% noise bound (a 10% dip).
     let new = vec![
         mk(
-            "engine/SW/tiny/t1+ff",
+            "engine/SW/tiny/ff",
             "cycles_per_sec",
             vec![90.0, 91.0],
             "n",
             200,
         ),
         mk(
-            "engine/NvB/tiny/t1+ff",
+            "engine/NvB/tiny/ff",
             "cycles_per_sec",
             vec![190.0, 191.0],
             "n",
@@ -190,7 +187,7 @@ fn cmp_passes_identical_and_within_noise_sets() {
 #[test]
 fn cmp_flags_regression_beyond_noise_bound() {
     let base = vec![mk(
-        "engine/SW/tiny/t1+ff",
+        "engine/SW/tiny/ff",
         "cycles_per_sec",
         vec![100.0, 100.0, 100.0],
         "b",
@@ -199,7 +196,7 @@ fn cmp_flags_regression_beyond_noise_bound() {
     // A 50% throughput drop is far past the 30% bound, and the samples
     // are tight so MAD widening cannot excuse it.
     let new = vec![mk(
-        "engine/SW/tiny/t1+ff",
+        "engine/SW/tiny/ff",
         "cycles_per_sec",
         vec![50.0, 50.0, 50.0],
         "n",
@@ -226,14 +223,14 @@ fn cmp_noise_bound_widens_with_measured_mad() {
     // samples are so scattered that 3×(rel MADs) exceeds the gap — the
     // detector must not call noise a regression.
     let base = vec![mk(
-        "engine/SW/tiny/t1+ff",
+        "engine/SW/tiny/ff",
         "cycles_per_sec",
         vec![60.0, 100.0, 140.0],
         "b",
         100,
     )];
     let new = vec![mk(
-        "engine/SW/tiny/t1+ff",
+        "engine/SW/tiny/ff",
         "cycles_per_sec",
         vec![60.0, 60.0, 60.0],
         "n",
@@ -245,42 +242,9 @@ fn cmp_noise_bound_widens_with_measured_mad() {
 }
 
 #[test]
-fn cmp_enforces_absolute_floor_even_without_baseline() {
-    let mut r = mk(
-        "engine/tiny/best_parallel_speedup",
-        "speedup_n_over_1",
-        vec![0.5],
-        "n",
-        200,
-    );
-    r.abs_floor = Some(0.9);
-    r.rel_bound = 1.0;
-    // No baseline counterpart at all: first measurement must still
-    // clear the floor.
-    let diff = cmp::compare(&[], &[r.clone()]);
-    assert_eq!(diff.failures(), 1);
-    assert_eq!(diff.rows[0].verdict, Verdict::BelowFloor);
-    // Above the floor it is merely a new cell.
-    r.summary = Summary::of(vec![0.95]);
-    let diff = cmp::compare(&[], &[r.clone()]);
-    assert_eq!(diff.failures(), 0);
-    assert_eq!(diff.rows[0].verdict, Verdict::NewOnly);
-    // With a baseline, the floor still binds even when the relative
-    // bound (1.0) would tolerate the drop.
-    let mut base = r.clone();
-    base.summary = Summary::of(vec![1.0]);
-    base.run_id = "b".to_string();
-    base.prov.unix_time = 100;
-    r.summary = Summary::of(vec![0.5]);
-    let diff = cmp::compare(&[base], &[r]);
-    assert_eq!(diff.failures(), 1);
-    assert_eq!(diff.rows[0].verdict, Verdict::BelowFloor);
-}
-
-#[test]
 fn cmp_info_metrics_never_gate() {
-    let mut base = mk("serve/tiny/load6/t1+ff", "shed_rate", vec![0.0], "b", 100);
-    let mut new = mk("serve/tiny/load6/t1+ff", "shed_rate", vec![0.9], "n", 200);
+    let mut base = mk("serve/tiny/load6/ff", "shed_rate", vec![0.0], "b", 100);
+    let mut new = mk("serve/tiny/load6/ff", "shed_rate", vec![0.9], "n", 200);
     base.direction = Direction::Info;
     new.direction = Direction::Info;
     let diff = cmp::compare(&[base], &[new]);
@@ -294,14 +258,14 @@ fn cmp_collapses_multi_run_stores_to_newest_cell() {
     // the newest per cell, so no regression fires.
     let store = vec![
         mk(
-            "engine/SW/tiny/t1+ff",
+            "engine/SW/tiny/ff",
             "cycles_per_sec",
             vec![50.0],
             "run-old",
             100,
         ),
         mk(
-            "engine/SW/tiny/t1+ff",
+            "engine/SW/tiny/ff",
             "cycles_per_sec",
             vec![100.0],
             "run-new",
@@ -309,7 +273,7 @@ fn cmp_collapses_multi_run_stores_to_newest_cell() {
         ),
     ];
     let base = vec![mk(
-        "engine/SW/tiny/t1+ff",
+        "engine/SW/tiny/ff",
         "cycles_per_sec",
         vec![100.0],
         "b",
@@ -323,21 +287,21 @@ fn cmp_collapses_multi_run_stores_to_newest_cell() {
 fn report_is_byte_identical_across_invocations() {
     let records = vec![
         mk(
-            "engine/SW/tiny/t1+ff",
+            "engine/SW/tiny/ff",
             "cycles_per_sec",
             vec![100.0, 110.0],
             "a",
             100,
         ),
         mk(
-            "engine/SW/tiny/t4+ff",
+            "engine/SW/tiny/noff",
             "cycles_per_sec",
             vec![300.0, 310.0],
             "a",
             100,
         ),
         mk(
-            "engine/NvB/tiny/t1+ff",
+            "engine/NvB/tiny/ff",
             "cycles_per_sec",
             vec![200.0],
             "a",
@@ -345,7 +309,7 @@ fn report_is_byte_identical_across_invocations() {
         ),
         {
             let mut r = mk(
-                "serve/tiny/load6/t1+ff",
+                "serve/tiny/load6/ff",
                 "requests_per_sec",
                 vec![40.0],
                 "a",

@@ -397,7 +397,7 @@ impl Benchmark for ClusterBench {
         BenchResult {
             kernel_cycles: stats.host.kernel_cycles,
             verified,
-            sim_threads: config.resolved_sim_threads(),
+            sim_threads: 1,
             fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
             detail: format!(
                 "CLUSTER: {} seqs, {} clusters, cdp={}",

@@ -21,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod cluster;
 pub mod dp;
@@ -54,10 +55,8 @@ pub struct BenchResult {
     pub kernel_cycles: u64,
     /// Whether the device output matched the CPU reference.
     pub verified: bool,
-    /// Worker threads the cycle engine actually used
-    /// ([`GpuConfig::resolved_sim_threads`] at run time), recorded so
-    /// exported results stay interpretable on hosts where the requested
-    /// thread count was clamped.
+    /// Always 1. The cycle engine has no thread setting; the field is kept
+    /// only because the frozen `hostbench` harness checks it.
     pub sim_threads: usize,
     /// Simulated cycles the engine elided via idle-cycle fast-forward
     /// ([`ggpu_sim::Gpu::fast_forward_skipped_cycles`]); all counters fully

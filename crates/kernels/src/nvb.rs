@@ -571,7 +571,7 @@ impl Benchmark for NvbBench {
         BenchResult {
             kernel_cycles: stats.host.kernel_cycles,
             verified,
-            sim_threads: config.resolved_sim_threads(),
+            sim_threads: 1,
             fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
             detail: format!(
                 "NvB: {} reads x {}bp vs {}bp genome, {} batches, cdp={}",

@@ -402,7 +402,7 @@ impl Benchmark for PairwiseBench {
         BenchResult {
             kernel_cycles: stats.host.kernel_cycles,
             verified,
-            sim_threads: config.resolved_sim_threads(),
+            sim_threads: 1,
             fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
             detail: format!(
                 "{}: {} pairs (max_len {}), {} batches, cdp={}",

@@ -506,7 +506,7 @@ impl Benchmark for StarBench {
         BenchResult {
             kernel_cycles: stats.host.kernel_cycles,
             verified,
-            sim_threads: config.resolved_sim_threads(),
+            sim_threads: 1,
             fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
             detail: format!(
                 "STAR: {} seqs x {} bases, {} pairs, center {}, cdp={}",

@@ -544,7 +544,7 @@ impl TracebackBench {
         crate::BenchResult {
             kernel_cycles: stats.host.kernel_cycles,
             verified: scores == self.expected_scores,
-            sim_threads: config.resolved_sim_threads(),
+            sim_threads: 1,
             fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
             detail: format!("GG score-only on the traceback workload ({n} pairs)"),
             stats,
@@ -631,7 +631,7 @@ impl TracebackBench {
         crate::BenchResult {
             kernel_cycles: stats.host.kernel_cycles,
             verified,
-            sim_threads: config.resolved_sim_threads(),
+            sim_threads: 1,
             fast_forward_skipped_cycles: gpu.fast_forward_skipped_cycles(),
             detail: format!("GG-TB: {} pairs with full CIGAR traceback", n),
             stats,

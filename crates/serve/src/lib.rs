@@ -35,12 +35,13 @@
 //!   including a unified host+device Chrome trace — as a [`ServeReport`].
 //!
 //! Everything is deterministic: given the same submissions and the same
-//! fault plan, outcomes and device statistics are bit-identical at any
-//! `sim_threads` — which is what makes the fault-injection soak in
+//! fault plan, outcomes and device statistics are bit-identical from run
+//! to run — which is what makes the fault-injection soak in
 //! `tests/serve_soak.rs` assertable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod batch;
 mod error;

@@ -110,15 +110,9 @@ pub struct GpuConfig {
     /// Also emit an event per L2 line fill from DRAM. High frequency;
     /// off by default so traces stay kernel-granular.
     pub trace_cache_fills: bool,
-    /// Worker threads the cycle engine shards SMs across. `1` runs the
-    /// classic single-threaded loop. Any value produces bit-identical
-    /// [`crate::RunStats`], profiles, and traces — SMs tick against a
-    /// read-only memory snapshot and their outputs merge in deterministic
-    /// (SM index, issue order) — so this is purely a wall-clock knob.
-    /// Clamped to the SM count at `synchronize` time (see
-    /// [`GpuConfig::resolved_sim_threads`]). [`GpuConfig::rtx3070`] seeds
-    /// it from the `GGPU_SIM_THREADS` environment variable when set,
-    /// falling back to the host's available parallelism.
+    /// Always 1. The cycle engine is one serial loop and has no thread
+    /// setting; the field is kept only because the frozen `hostbench`
+    /// harness writes it. Nothing in the workspace reads it.
     pub sim_threads: usize,
     /// Idle-cycle fast-forward: when no SM can issue and no queue, channel,
     /// or dispatcher can change state before a provably-known future cycle,
@@ -183,7 +177,7 @@ impl GpuConfig {
             trace: false,
             trace_capacity: 1 << 20,
             trace_cache_fills: false,
-            sim_threads: sim_threads_from_env(),
+            sim_threads: 1,
             fast_forward: true,
             stream_isolation: false,
             kernel_records: false,
@@ -220,13 +214,6 @@ impl GpuConfig {
         self
     }
 
-    /// Set the engine's worker-thread count (clamped to at least 1); see
-    /// [`GpuConfig::sim_threads`].
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads.max(1);
-        self
-    }
-
     /// Enable or disable idle-cycle fast-forward; see
     /// [`GpuConfig::fast_forward`]. On by default — turning it off forces
     /// the engine to tick every cycle (A/B validation and debugging).
@@ -257,28 +244,16 @@ impl GpuConfig {
         self
     }
 
-    /// The worker-thread count the engine will actually use: `sim_threads`
-    /// clamped to `[1, n_sms]`. Harnesses record this, not the raw knob,
-    /// so results stay interpretable on hosts with fewer cores than SMs.
+    /// Always 1: the engine has no thread setting. Kept only for the
+    /// frozen `hostbench` harness, which checks it.
     pub fn resolved_sim_threads(&self) -> usize {
-        self.sim_threads.clamp(1, self.n_sms.max(1))
+        1
     }
 
     /// Total L2 capacity across partitions.
     pub fn l2_total(&self) -> u64 {
         self.l2_slice.bytes * self.n_partitions as u64
     }
-}
-
-/// Default engine thread count: `GGPU_SIM_THREADS` when set to a positive
-/// integer, otherwise the host's available parallelism (the engine is
-/// bit-identical at any thread count, so defaulting to all cores is safe).
-fn sim_threads_from_env() -> usize {
-    std::env::var("GGPU_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 #[cfg(test)]
@@ -334,27 +309,6 @@ mod tests {
         let c = GpuConfig::rtx3070().with_cache_sizes(0, 128 * 1024);
         assert_eq!(c.sm.l1.bytes, 0);
         assert_eq!(c.l2_total(), 128 * 1024);
-    }
-
-    #[test]
-    fn sim_threads_builder_clamps_to_one() {
-        // The default comes from GGPU_SIM_THREADS (the CI matrix sets it),
-        // so only assert it is sane, not that it equals 1.
-        assert!(GpuConfig::rtx3070().sim_threads >= 1);
-        assert_eq!(GpuConfig::rtx3070().with_sim_threads(4).sim_threads, 4);
-        assert_eq!(GpuConfig::rtx3070().with_sim_threads(0).sim_threads, 1);
-    }
-
-    #[test]
-    fn resolved_sim_threads_clamps_to_sm_count() {
-        let c = GpuConfig::test_small().with_sim_threads(64);
-        assert_eq!(c.resolved_sim_threads(), 4);
-        assert_eq!(
-            GpuConfig::rtx3070()
-                .with_sim_threads(4)
-                .resolved_sim_threads(),
-            4
-        );
     }
 
     #[test]

@@ -11,15 +11,11 @@
 //!   runtime.
 //! * [`memcpy`] — host transfers: `malloc`, `memcpy_h2d`/`d2h`, constant
 //!   binding, and the PCIe cost model.
-//! * [`parallel`] — the SM-sharded multi-threaded executor behind
-//!   [`GpuConfig::sim_threads`], plus the lane/shard plumbing shared with
-//!   the single-threaded path.
 
 mod engine;
 mod fastforward;
 mod launch;
 mod memcpy;
-mod parallel;
 
 pub use self::launch::LaunchOptions;
 
@@ -44,7 +40,6 @@ use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind, TraceSink};
 use self::engine::{DramTarget, Ev};
 use self::launch::Grid;
 use self::memcpy::InboundCopy;
-use self::parallel::{LaneSet, SmLane};
 
 /// Identifier of a host-side stream. Stream 0 is the default stream every
 /// [`Gpu::launch`] targets; additional streams come from
@@ -76,6 +71,18 @@ struct StreamState {
     fault: Option<SimError>,
 }
 
+/// One SM "lane": the core plus the port pair all its traffic crosses.
+#[derive(Debug)]
+struct SmLane {
+    core: SmCore,
+    ports: SmPorts,
+}
+
+/// All SM cores in SM-index order.
+fn cores(lanes: &[SmLane]) -> impl Iterator<Item = &SmCore> {
+    lanes.iter().map(|l| &l.core)
+}
+
 /// Where trace events go. [`SinkSlot::Off`] keeps the disabled path at a
 /// single branch per emission site.
 #[derive(Debug)]
@@ -101,8 +108,8 @@ pub struct Gpu {
     config: GpuConfig,
     program: Arc<Program>,
     /// One lane per SM: the core plus its port pair. All SM traffic crosses
-    /// the ports, so lanes can tick concurrently against a read-only memory
-    /// snapshot (see [`parallel`]).
+    /// the ports, so every lane ticks against a read-only view of memory
+    /// and its output merges afterwards (see [`engine`]).
     lanes: Vec<SmLane>,
     mem: DeviceMemory,
     l2: Vec<Cache>,
@@ -359,7 +366,7 @@ impl Gpu {
 
     /// Snapshot all counters.
     pub fn stats(&self) -> RunStats {
-        self.stats_over(self.lanes.iter().map(|l| &l.core))
+        self.stats_over(cores(&self.lanes))
     }
 
     /// [`Gpu::stats`] over an explicit SM-core iterator, so the engine can
@@ -602,9 +609,9 @@ impl Gpu {
     }
 
     /// [`Gpu::flush_sample`] while the lanes are checked out of `self`.
-    fn flush_sample_with(&mut self, lanes: &LaneSet<'_>) {
+    fn flush_sample_with(&mut self, lanes: &[SmLane]) {
         if self.sampler.is_some() {
-            let snap = self.stats_over(lanes.cores());
+            let snap = self.stats_over(cores(lanes));
             if let Some(s) = &mut self.sampler {
                 s.close_window(self.cycle, &snap);
             }

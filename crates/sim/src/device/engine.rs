@@ -3,29 +3,31 @@
 //!
 //! One device cycle has three strictly ordered phases:
 //!
-//! 1. **Pre** ([`Gpu::cycle_pre`], serial) — due network packets are
+//! 1. **Pre** ([`Gpu::cycle_pre`]) — due network packets are
 //!    delivered (replies into each SM's inbound port, requests into the L2
 //!    slices), DRAM channels tick, and CTAs dispatch.
-//! 2. **SM** (parallelizable) — every lane ticks against a *read-only*
-//!    snapshot of device memory, writing only its own core state and its
-//!    own ports. Lanes share nothing, so this phase may run on any number
-//!    of threads (see [`super::parallel`]).
-//! 3. **Post** ([`Gpu::cycle_post`], serial) — each lane's output is
-//!    drained in SM-index order: deferred stores/atomics commit to memory,
-//!    requests enter the interconnect, CDP launches spawn, completed CTAs
-//!    retire, and traps resolve. Because the merge order is (SM index,
-//!    issue order) no matter how phase 2 was scheduled, every counter,
-//!    profile, and trace is bit-identical for any thread count.
+//! 2. **SM** — every lane ticks against a *read-only* view of device
+//!    memory, writing only its own core state and its own ports. Stores
+//!    and global atomics are deferred to per-SM [`ggpu_sm::MemOp`] logs.
+//! 3. **Post** ([`Gpu::cycle_post`]) — each lane's output is drained in
+//!    SM-index order: deferred stores/atomics commit to memory, requests
+//!    enter the interconnect, CDP launches spawn, completed CTAs retire,
+//!    and traps resolve. Because stores were deferred, no SM observed
+//!    another's same-cycle store, and commits land in (SM index, issue
+//!    order); every modelled result depends on that order.
+//!
+//! All three phases run on the calling thread, in one loop
+//! ([`Gpu::try_synchronize`]). Host parallelism lives one level up, across
+//! whole devices ([`crate::NodeConfig::parallel_hosts`]).
 
 use ggpu_mem::{CacheOutcome, LINE_BYTES};
-use ggpu_sm::{MemRequest, ReqKind, SmCore, Trap, WarpReport, WarpWait};
+use ggpu_sm::{MemRequest, ReqKind, Trap, WarpReport, WarpWait};
 
 use crate::error::{DeadlockReport, DeviceFault, SimError};
 use crate::memory::DeviceMemory;
 use crate::trace::TraceEventKind;
 
-use super::parallel::{LaneSet, SmLane};
-use super::Gpu;
+use super::{cores, Gpu, SmLane};
 
 /// Absolute backstop on simulated cycles per `synchronize`. The configurable
 /// forward-progress watchdog ([`crate::GpuConfig::watchdog_cycles`])
@@ -58,18 +60,14 @@ pub(super) enum DramTarget {
 impl Gpu {
     /// Whether any work remains on the device.
     pub fn busy(&self) -> bool {
-        self.busy_over(self.lanes.iter().map(|l| &l.core))
+        self.busy_with(&self.lanes)
     }
 
-    pub(super) fn busy_with(&self, lanes: &LaneSet<'_>) -> bool {
-        self.busy_over(lanes.cores())
-    }
-
-    fn busy_over<'a>(&self, mut cores: impl Iterator<Item = &'a SmCore>) -> bool {
+    pub(super) fn busy_with(&self, lanes: &[SmLane]) -> bool {
         !self.grids.is_empty()
             || !self.events.is_empty()
             || !self.pending_inbound.is_empty()
-            || cores.any(|s| !s.is_idle() || s.has_outstanding())
+            || cores(lanes).any(|s| !s.is_idle() || s.has_outstanding())
             || self.dram.iter().any(|d| !d.is_idle())
     }
 
@@ -89,26 +87,26 @@ impl Gpu {
         }
         let start = self.cycle;
         self.last_progress = self.cycle;
-        // Clamp the worker count to the lanes and to the cores actually
-        // present: on an oversubscribed host extra shard threads only add
-        // barrier and context-switch cost (the phases are bit-identical at
-        // any count, so this is purely a wall-clock decision).
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = self
-            .config
-            .sim_threads
-            .clamp(1, self.lanes.len().max(1))
-            .min(cores);
         // Check the lanes and memory out of `self` for the duration of the
         // run: the cycle phases borrow them independently of the rest of
-        // the device state (and the parallel executor moves them into
-        // shared structures).
+        // the device state.
         let mut lanes = std::mem::take(&mut self.lanes);
         let mut mem = std::mem::take(&mut self.mem);
-        let result = if threads <= 1 {
-            self.sync_serial(start, &mut lanes, &mut mem)
-        } else {
-            self.sync_parallel(start, threads, &mut lanes, &mut mem)
+        let result = loop {
+            if !self.busy_with(&lanes) {
+                break Ok(());
+            }
+            let (now, device_busy) = self.cycle_pre(&mut lanes);
+            for lane in lanes.iter_mut() {
+                lane.core.tick(now, &mem, device_busy, &mut lane.ports);
+            }
+            self.cycle_post(&mut lanes, &mut mem, now);
+            if let Some(outcome) = self.sync_check(start, &mut lanes) {
+                break outcome;
+            }
+            if self.config.fast_forward {
+                self.try_fast_forward(&mut lanes, start);
+            }
         };
         self.lanes = lanes;
         self.mem = mem;
@@ -130,35 +128,14 @@ impl Gpu {
             .unwrap_or_else(|e| panic!("synchronize failed: {e}"))
     }
 
-    /// The classic single-threaded loop: every phase runs on this thread.
-    fn sync_serial(
-        &mut self,
-        start: u64,
-        lanes: &mut [SmLane],
-        mem: &mut DeviceMemory,
-    ) -> Result<(), SimError> {
-        let mut ls = LaneSet::single(lanes);
-        while self.busy_with(&ls) {
-            self.step(&mut ls, mem);
-            if let Some(outcome) = self.sync_check(start, &mut ls) {
-                return outcome;
-            }
-            if self.config.fast_forward {
-                self.try_fast_forward(&mut ls, start);
-            }
-        }
-        Ok(())
-    }
-
-    /// Post-cycle fault/watchdog check shared by the serial and parallel
-    /// loops. `Some(Err(..))` ends the run; `None` continues it — including
+    /// Post-cycle fault/watchdog check. `Some(Err(..))` ends the run; `None` continues it — including
     /// after a *non-default* stream was killed for a deadline overrun or a
     /// watchdog hang, in which case the remaining streams keep running and
     /// the fault is reported through [`Gpu::stream_fault`].
     pub(super) fn sync_check(
         &mut self,
         start: u64,
-        lanes: &mut LaneSet<'_>,
+        lanes: &mut [SmLane],
     ) -> Option<Result<(), SimError>> {
         if let Some(f) = self.fault.clone() {
             return Some(Err(f));
@@ -205,32 +182,9 @@ impl Gpu {
         None
     }
 
-    /// Advance the device one cycle. No-op while the device is in the fault
-    /// state (until [`Gpu::reset_fault`]).
-    pub fn tick(&mut self) {
-        if self.fault.is_some() {
-            return;
-        }
-        let mut lanes = std::mem::take(&mut self.lanes);
-        let mut mem = std::mem::take(&mut self.mem);
-        self.step(&mut LaneSet::single(&mut lanes), &mut mem);
-        self.lanes = lanes;
-        self.mem = mem;
-    }
-
-    /// One whole cycle on the calling thread: pre-phase, every SM's tick,
-    /// post-phase.
-    fn step(&mut self, lanes: &mut LaneSet<'_>, mem: &mut DeviceMemory) {
-        let (now, device_busy) = self.cycle_pre(lanes);
-        for lane in lanes.iter_mut() {
-            lane.core.tick(now, &*mem, device_busy, &mut lane.ports);
-        }
-        self.cycle_post(lanes, mem, now);
-    }
-
-    /// Serial pre-SM phase: deliver due packets, tick DRAM, dispatch CTAs.
+    /// Pre-SM phase: deliver due packets, tick DRAM, dispatch CTAs.
     /// Returns `(now, device_busy)` for the SM phase.
-    pub(super) fn cycle_pre(&mut self, lanes: &mut LaneSet<'_>) -> (u64, bool) {
+    pub(super) fn cycle_pre(&mut self, lanes: &mut [SmLane]) -> (u64, bool) {
         self.cycle += 1;
         let now = self.cycle;
 
@@ -240,7 +194,7 @@ impl Gpu {
         while let Some(ev) = self.events.pop_due(now) {
             match ev {
                 Ev::L2Arrive { sm, id, addr, kind } => self.handle_l2_arrive(sm, id, addr, kind),
-                Ev::Reply { sm, id } => lanes.get_mut(sm).ports.replies.push(id),
+                Ev::Reply { sm, id } => lanes[sm].ports.replies.push(id),
             }
         }
 
@@ -276,10 +230,10 @@ impl Gpu {
         }
     }
 
-    /// Serial post-SM phase: drain every lane's output in SM-index order
+    /// Post-SM phase: drain every lane's output in SM-index order
     /// (the deterministic merge), then resolve faults, feed the watchdog,
     /// and sample.
-    pub(super) fn cycle_post(&mut self, lanes: &mut LaneSet<'_>, mem: &mut DeviceMemory, now: u64) {
+    pub(super) fn cycle_post(&mut self, lanes: &mut [SmLane], mem: &mut DeviceMemory, now: u64) {
         // 3b. Land due peer-to-peer payloads before the SM merge: the DMA
         // write commits at its exact arrival cycle, ahead of any same-cycle
         // SM store, so node-level memory state is deterministic at any host
@@ -304,11 +258,11 @@ impl Gpu {
         let mut first_trap: Option<(usize, Trap)> = None;
         let mut issued = 0u64;
         for sm in 0..lanes.len() {
-            if lanes.get_mut(sm).ports.out.is_empty() {
+            if lanes[sm].ports.out.is_empty() {
                 continue;
             }
-            let mut out = std::mem::take(&mut lanes.get_mut(sm).ports.out);
-            lanes.get_mut(sm).core.commit_mem_ops(mem, &mut out.mem_ops);
+            let mut out = std::mem::take(&mut lanes[sm].ports.out);
+            lanes[sm].core.commit_mem_ops(mem, &mut out.mem_ops);
             for req in out.mem_requests.drain(..) {
                 self.route_request(sm, req);
             }
@@ -336,7 +290,7 @@ impl Gpu {
             }
             issued += out.issued;
             out.issued = 0;
-            lanes.get_mut(sm).ports.out = out;
+            lanes[sm].ports.out = out;
         }
 
         // 5. Fault resolution: a CDP-limit fault raised in `spawn_child`
@@ -368,7 +322,7 @@ impl Gpu {
         if let Some(h) = self.draining {
             let drained = self.events.is_empty()
                 && self.dram.iter().all(|d| d.is_idle())
-                && lanes.cores().all(|c| !c.has_outstanding());
+                && cores(lanes).all(|c| !c.has_outstanding());
             if drained {
                 self.draining = None;
                 for d in &mut self.dram {
@@ -552,7 +506,7 @@ impl Gpu {
     /// to a clean idle state. Other streams' *queued* grids have not
     /// started and survive untouched; memory contents, cache tags, and
     /// statistics survive too.
-    pub(super) fn kill_active_stream(&mut self, err: SimError, lanes: &mut LaneSet<'_>) {
+    pub(super) fn kill_active_stream(&mut self, err: SimError, lanes: &mut [SmLane]) {
         let s = self.active_stream.unwrap_or(0);
         self.streams[s].fault = Some(err.clone());
         if s == 0 {
@@ -601,15 +555,15 @@ impl Gpu {
         // boundary; otherwise the first record after recovery absorbs the
         // dead stream's counters.
         if self.profiling_enabled() {
-            self.record_base = self.stats_over(lanes.cores());
+            self.record_base = self.stats_over(cores(lanes));
         }
     }
 
     /// Snapshot everything a deadlock post-mortem needs. Must run *before*
     /// [`Gpu::kill_active_stream`] wipes the state it describes.
-    fn deadlock_report_with(&self, stalled_for: u64, lanes: &LaneSet<'_>) -> DeadlockReport {
+    fn deadlock_report_with(&self, stalled_for: u64, lanes: &[SmLane]) -> DeadlockReport {
         let mut warps: Vec<WarpReport> = Vec::new();
-        for (i, sm) in lanes.cores().enumerate() {
+        for (i, sm) in cores(lanes).enumerate() {
             warps.extend(
                 sm.warp_report(i)
                     .into_iter()
@@ -624,7 +578,7 @@ impl Gpu {
             host_queue: self.streams.iter().map(|s| s.queue.len()).sum(),
             device_queue: self.device_queue.len(),
             events_in_flight: self.events.len(),
-            outstanding_requests: lanes.cores().map(|s| s.outstanding_requests()).sum(),
+            outstanding_requests: cores(lanes).map(|s| s.outstanding_requests()).sum(),
             dram_queued: self.dram.iter().map(|d| d.queue_depth()).sum::<usize>(),
         }
     }

@@ -59,15 +59,8 @@
 //!
 //! Anything not listed (L2, interconnect links, memcpy engine) is purely
 //! event-driven on absolute cycle numbers and has no per-cycle state.
-//!
-//! The skip runs in the serial section of both engine variants. In the
-//! multi-threaded engine this is what makes barriers *epoch-batched*: each
-//! barrier pair now fences one **active** cycle plus the entire dead span
-//! behind it, executed by the main thread in the post-phase while the
-//! workers are parked — so barrier cost is paid per epoch, not per cycle.
 
-use super::parallel::LaneSet;
-use super::Gpu;
+use super::{cores, Gpu, SmLane};
 
 impl Gpu {
     /// If the next cycle begins a dead span, credit the span to every unit
@@ -75,9 +68,9 @@ impl Gpu {
     /// ticking per-cycle) whenever any unit might act on the next cycle.
     ///
     /// Must run between `cycle_post`/`sync_check` of one cycle and
-    /// `cycle_pre` of the next, on the serial thread, with every lane and
-    /// the device state at rest.
-    pub(super) fn try_fast_forward(&mut self, lanes: &mut LaneSet<'_>, start: u64) {
+    /// `cycle_pre` of the next, with every lane and the device state at
+    /// rest.
+    pub(super) fn try_fast_forward(&mut self, lanes: &mut [SmLane], start: u64) {
         if !self.busy_with(lanes) {
             // The loop is about to exit; a skip here would credit cycles
             // the per-cycle engine never runs.
@@ -165,7 +158,7 @@ impl Gpu {
                 Some(a) if a > c0 => t = t.min(a),
                 Some(_) if !g.fully_dispatched() => {
                     let threads = g.dims.threads_per_cta();
-                    if lanes.cores().any(|c| c.can_accept(g.kernel, threads)) {
+                    if cores(lanes).any(|c| c.can_accept(g.kernel, threads)) {
                         return;
                     }
                 }

@@ -11,8 +11,7 @@ use crate::memory::DeviceMemory;
 use crate::profile::KernelRecord;
 use crate::trace::TraceEventKind;
 
-use super::parallel::LaneSet;
-use super::{Gpu, StreamId};
+use super::{cores, Gpu, SmLane, StreamId};
 
 /// Per-launch options for [`Gpu::try_launch_on`]: the target stream and an
 /// optional execution deadline.
@@ -260,7 +259,7 @@ impl Gpu {
 
     // ---- dispatch ---------------------------------------------------------
 
-    pub(super) fn arm_and_dispatch(&mut self, lanes: &mut LaneSet<'_>) {
+    pub(super) fn arm_and_dispatch(&mut self, lanes: &mut [SmLane]) {
         // CDP children dispatch immediately (after their overhead window).
         // The handle list is copied into reused scratch so the sweep does
         // not allocate per cycle.
@@ -338,7 +337,7 @@ impl Gpu {
             .and_then(|s| self.streams[s].queue.front().copied())
     }
 
-    fn dispatch_grid(&mut self, handle: u64, lanes: &mut LaneSet<'_>) {
+    fn dispatch_grid(&mut self, handle: u64, lanes: &mut [SmLane]) {
         let (kernel_id, dims, params, const_data, local_base, local_stride, mut next_cta) = {
             let g = match self.grids.get(&handle) {
                 Some(g) => g,
@@ -373,7 +372,7 @@ impl Gpu {
                 local_base,
                 local_stride,
             };
-            if lanes.get_mut(sm).core.try_launch_cta(cfg) {
+            if lanes[sm].core.try_launch_cta(cfg) {
                 next_cta += 1;
                 failures = 0;
             } else {
@@ -544,7 +543,7 @@ impl Gpu {
 
     // ---- retirement -------------------------------------------------------
 
-    pub(super) fn grid_done(&mut self, handle: u64, lanes: &mut LaneSet<'_>) {
+    pub(super) fn grid_done(&mut self, handle: u64, lanes: &mut [SmLane]) {
         let grid = match self.grids.remove(&handle) {
             Some(g) => g,
             None => return,
@@ -560,7 +559,7 @@ impl Gpu {
             // Per-kernel counter scoping by retire interval: this record's
             // delta covers everything since the previous retire boundary, so
             // record deltas telescope to the run totals.
-            let snap = self.stats_over(lanes.cores());
+            let snap = self.stats_over(cores(lanes));
             let delta = snap.delta_since(&self.record_base);
             self.record_base = snap;
             self.records.push(KernelRecord {
@@ -585,10 +584,7 @@ impl Gpu {
             });
         }
         if let Some((sm, slot, parent_handle)) = grid.parent {
-            lanes
-                .get_mut(sm)
-                .core
-                .child_grid_done(slot, Some(parent_handle));
+            lanes[sm].core.child_grid_done(slot, Some(parent_handle));
             if self.trace_on() {
                 self.emit(TraceEventKind::CdpDrain {
                     parent: parent_handle,

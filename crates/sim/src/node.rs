@@ -1,6 +1,6 @@
 //! # Multi-GPU node: devices joined by a second-level fabric.
 //!
-//! A [`GpuNode`] owns N [`Gpu`] instances (each the full sharded,
+//! A [`GpuNode`] owns N [`Gpu`] instances (each the full
 //! port-decoupled engine) and a node-level `ggpu-icnt` network — the same
 //! flit/flow model the on-chip interconnects use, instantiated a second
 //! time with one endpoint pair per device — carrying explicit peer-to-peer

@@ -1,7 +1,7 @@
 //! Node-level determinism: a multi-GPU [`GpuNode`] run is bit-identical —
 //! same per-device statistics, kernel records, trace events, and merged
 //! result bytes — regardless of host parallelism (parallel vs serial
-//! device threads, and any per-device `sim_threads`). Also pins the
+//! device threads). Also pins the
 //! telescoping contract (per-device counters sum exactly to node totals)
 //! and device-scoped fault isolation (a stream fault on one device leaves
 //! every other device's run untouched).
@@ -54,7 +54,6 @@ fn oob_program() -> (Program, KernelId, KernelId) {
 fn run_sharded(
     n_devices: usize,
     parallel_hosts: bool,
-    sim_threads: usize,
 ) -> (
     NodeStats,
     Vec<u8>,
@@ -63,10 +62,7 @@ fn run_sharded(
 ) {
     let (p, k) = work_program();
     let mut cfg = NodeConfig::test_small(n_devices).with_parallel_hosts(parallel_hosts);
-    cfg.gpu = cfg
-        .gpu
-        .with_sim_threads(sim_threads)
-        .with_kernel_records(true);
+    cfg.gpu = cfg.gpu.with_kernel_records(true);
     cfg.gpu.trace = true;
     let mut node = GpuNode::new(p, cfg);
 
@@ -119,23 +115,18 @@ fn run_sharded(
 #[test]
 fn two_and_four_device_runs_are_bit_identical_across_host_parallelism() {
     for n_devices in [2usize, 4] {
-        let baseline = run_sharded(n_devices, false, 1);
-        for (parallel_hosts, sim_threads) in [(true, 1), (false, 4), (true, 4)] {
-            let run = run_sharded(n_devices, parallel_hosts, sim_threads);
-            assert_eq!(
-                baseline.0, run.0,
-                "stats diverge at {n_devices} devices, parallel_hosts={parallel_hosts}, sim_threads={sim_threads}"
-            );
-            assert_eq!(baseline.1, run.1, "merged result bytes diverge");
-            assert_eq!(baseline.2, run.2, "kernel records diverge");
-            assert_eq!(baseline.3, run.3, "trace events diverge");
-        }
+        let serial = run_sharded(n_devices, false);
+        let parallel = run_sharded(n_devices, true);
+        assert_eq!(serial.0, parallel.0, "stats diverge at {n_devices} devices");
+        assert_eq!(serial.1, parallel.1, "merged result bytes diverge");
+        assert_eq!(serial.2, parallel.2, "kernel records diverge");
+        assert_eq!(serial.3, parallel.3, "trace events diverge");
     }
 }
 
 #[test]
 fn merged_shards_match_expected_values() {
-    let (stats, merged, records, _) = run_sharded(4, true, 1);
+    let (stats, merged, records, _) = run_sharded(4, true);
     for (i, chunk) in merged.chunks_exact(8).enumerate() {
         let v = u64::from_le_bytes(chunk.try_into().unwrap());
         assert_eq!(v, i as u64 * 3, "item {i} merged out of order");
@@ -153,7 +144,7 @@ fn merged_shards_match_expected_values() {
 
 #[test]
 fn per_device_counters_telescope_to_node_totals() {
-    let (stats, _, _, _) = run_sharded(4, true, 4);
+    let (stats, _, _, _) = run_sharded(4, true);
     let total = stats.total();
     macro_rules! telescopes {
         ($($field:tt)*) => {

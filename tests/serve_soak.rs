@@ -11,7 +11,7 @@
 //!   outcome matches the CPU oracle even when its batch rode a killed
 //!   stream and was retried;
 //! * the whole run — outcomes, metrics, and per-grid kernel records —
-//!   is bit-identical at `sim_threads` 1 and 4, fault plan included;
+//!   is bit-identical from run to run, fault plan included;
 //! * overload storms answer with typed `Overloaded` errors, never an
 //!   allocation failure or abort;
 //! * impossible cycle budgets degrade gracefully: the offending job gets
@@ -110,9 +110,9 @@ impl Oracle {
     }
 }
 
-fn soak_config(oracle: &Oracle, sim_threads: usize, plan: FaultPlan) -> ServeConfig {
+fn soak_config(oracle: &Oracle, plan: FaultPlan) -> ServeConfig {
     let mut cfg = ServeConfig::test_small();
-    cfg.gpu = GpuConfig::test_small().with_sim_threads(sim_threads);
+    cfg.gpu = GpuConfig::test_small();
     cfg.gpu.watchdog_cycles = 10_000;
     cfg.gpu.fault_plan = plan;
     cfg.workers = 3;
@@ -140,9 +140,9 @@ struct SoakRun {
 /// Stream `n_jobs` seeded jobs through the service, interleaving
 /// submission waves with scheduling rounds (re-offering anything the
 /// bounded queue refused), then drain.
-fn run_soak(seed: u64, n_jobs: usize, wave: usize, sim_threads: usize, plan: FaultPlan) -> SoakRun {
+fn run_soak(seed: u64, n_jobs: usize, wave: usize, plan: FaultPlan) -> SoakRun {
     let oracle = Oracle::new(seed);
-    let mut svc = Service::new(soak_config(&oracle, sim_threads, plan)).expect("build service");
+    let mut svc = Service::new(soak_config(&oracle, plan)).expect("build service");
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
     let mut pending: VecDeque<(JobKind, Expected)> =
         (0..n_jobs).map(|_| oracle.gen_job(&mut rng)).collect();
@@ -227,7 +227,7 @@ fn soak_plan() -> FaultPlan {
 
 #[test]
 fn soak_faults_stay_stream_scoped_and_results_survive_recovery() {
-    let run = run_soak(1001, 36, 6, 1, soak_plan());
+    let run = run_soak(1001, 36, 6, soak_plan());
     // Every job terminal, every result correct — including the jobs whose
     // batches rode the killed stream and were retried on a fresh one.
     assert_done_matches_oracle(&run);
@@ -249,17 +249,17 @@ fn soak_faults_stay_stream_scoped_and_results_survive_recovery() {
 }
 
 #[test]
-fn soak_is_bit_identical_across_sim_threads() {
-    // Same seed, same fault plan, different engine parallelism: outcomes,
-    // serving metrics, and every per-grid record (cycle windows and stat
-    // deltas) must match bit-for-bit. `poison_memcpy` is added here so
-    // even a silently corrupted payload corrupts *identically*.
+fn soak_is_bit_identical_across_runs() {
+    // Same seed, same fault plan, two fresh services: outcomes, serving
+    // metrics, and every per-grid record (cycle windows and stat deltas)
+    // must match bit-for-bit. `poison_memcpy` is added here so even a
+    // silently corrupted payload corrupts *identically*.
     let plan = FaultPlan {
         poison_memcpy: Some(13),
         ..soak_plan()
     };
-    let a = run_soak(2002, 30, 6, 1, plan);
-    let b = run_soak(2002, 30, 6, 4, plan);
+    let a = run_soak(2002, 30, 6, plan);
+    let b = run_soak(2002, 30, 6, plan);
     assert_eq!(a.outcomes, b.outcomes);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.overloaded, b.overloaded);
@@ -272,7 +272,7 @@ fn overload_storm_is_typed_and_everything_admitted_completes() {
     // submissions with a typed error — and still finish every job it
     // admitted, with no panic and no allocation failure (all device
     // memory is pre-allocated at service build).
-    let run = run_soak(3003, 120, 40, 1, FaultPlan::default());
+    let run = run_soak(3003, 120, 40, FaultPlan::default());
     assert!(
         run.overloaded > 0,
         "120 jobs through a 24-deep queue must hit backpressure"
@@ -283,8 +283,7 @@ fn overload_storm_is_typed_and_everything_admitted_completes() {
 #[test]
 fn impossible_deadlines_degrade_gracefully() {
     let oracle = Oracle::new(4004);
-    let mut svc =
-        Service::new(soak_config(&oracle, 1, FaultPlan::default())).expect("build service");
+    let mut svc = Service::new(soak_config(&oracle, FaultPlan::default())).expect("build service");
     let mut rng = rand::rngs::StdRng::seed_from_u64(4004 ^ 0x5eed);
     let mut doomed = Vec::new();
     let mut fine = Vec::new();
