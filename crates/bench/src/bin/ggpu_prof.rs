@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 
-use ggpu_bench::{results_dir, write_json_doc};
+use ggpu_bench::{write_csv, write_json_doc};
 use ggpu_core::json::{Json, JsonWriter};
 use ggpu_core::{
     benchmark, render_table, GpuConfig, KernelPcProfile, PcProfile, ProfileReport, Scale,
@@ -357,45 +357,6 @@ fn print_mem_heatmap(units: &UnitProfile) {
 }
 
 // ---- exports ---------------------------------------------------------------
-
-fn csv_cell(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| csv_cell(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(
-            &row.iter()
-                .map(|c| csv_cell(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-    }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
 
 fn write_outputs(
     tag: &str,

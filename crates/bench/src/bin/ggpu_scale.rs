@@ -33,7 +33,7 @@
 //! single-device run or if per-device counters fail to telescope to the
 //! node totals.
 
-use ggpu_bench::{results_dir, write_json_doc};
+use ggpu_bench::{write_csv, write_json_doc};
 use ggpu_core::json::JsonWriter;
 use ggpu_core::render_table;
 use ggpu_genomics::random_genome;
@@ -611,27 +611,5 @@ fn verify_telescoping(stats: &ggpu_sim::NodeStats) {
     if bytes_out != bytes_in {
         eprintln!("INVARIANT VIOLATED: fabric bytes out {bytes_out} != bytes in {bytes_in}");
         std::process::exit(1);
-    }
-}
-
-// ---- exports ---------------------------------------------------------------
-
-fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mut out = String::new();
-    out.push_str(&headers.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }

@@ -16,49 +16,7 @@ use ggpu_isa::{InstrClass, Space};
 use ggpu_mem::DramScheduler;
 use ggpu_sm::{SchedPolicy, StallReason};
 
-use crate::{results_dir, write_json_doc};
-
-/// Quote a CSV cell when it contains a delimiter, quote, or newline.
-fn csv_cell(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Write one table as `results/<name>.csv`. Failures warn and continue —
-/// CSV export never breaks figure regeneration.
-fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| csv_cell(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(
-            &row.iter()
-                .map(|c| csv_cell(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-    }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
+use crate::{write_csv, write_json_doc};
 
 /// Print a table and mirror it to `results/<name>.csv`.
 fn emit(name: &str, headers: &[&str], rows: &[Vec<String>]) {

@@ -56,13 +56,50 @@ pub fn write_json_doc(name: &str, doc: &str) -> Option<PathBuf> {
         eprintln!("warning: {name}.json failed self-validation: {e}");
         return None;
     }
+    write_result(&format!("{name}.json"), doc)
+}
+
+/// Write one table to `<results_dir()>/<name>.csv`, quoting any cell that
+/// holds a comma, quote or newline. Like [`write_json_doc`], failures warn
+/// on stderr and return `None`, and a ragged table (a row whose width
+/// differs from the header's) writes nothing.
+pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> Option<PathBuf> {
+    if let Some(i) = rows.iter().position(|r| r.len() != headers.len()) {
+        eprintln!(
+            "warning: {name}.csv row {i} has {} cells, header has {}",
+            rows[i].len(),
+            headers.len()
+        );
+        return None;
+    }
+    fn line<'a>(cells: impl Iterator<Item = &'a str>) -> String {
+        let cells: Vec<String> = cells
+            .map(|c| {
+                if c.contains([',', '"', '\n']) {
+                    format!("\"{}\"", c.replace('"', "\"\""))
+                } else {
+                    c.to_string()
+                }
+            })
+            .collect();
+        cells.join(",") + "\n"
+    }
+    let mut out = line(headers.iter().copied());
+    for row in rows {
+        out.push_str(&line(row.iter().map(String::as_str)));
+    }
+    write_result(&format!("{name}.csv"), &out)
+}
+
+/// Write `contents` to `<results_dir()>/<file>`, creating the directory.
+fn write_result(file: &str, contents: &str) -> Option<PathBuf> {
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return None;
     }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, doc) {
+    let path = dir.join(file);
+    match std::fs::write(&path, contents) {
         Ok(()) => {
             println!("[wrote {}]", path.display());
             Some(path)
@@ -83,5 +120,32 @@ mod tests {
         let name = "write_json_doc_malformed_probe";
         assert_eq!(write_json_doc(name, "{\"a\": [1, 2"), None);
         assert!(!results_dir().join(format!("{name}.json")).exists());
+    }
+
+    #[test]
+    fn csv_cells_holding_a_delimiter_quote_or_newline_are_quoted() {
+        let name = "write_csv_quoting_probe";
+        let rows = vec![
+            vec!["a,b".to_string(), "say \"hi\"".to_string()],
+            vec!["two\nlines".to_string(), "plain".to_string()],
+        ];
+        let path = write_csv(name, &["x", "y,z"], &rows).expect("written");
+        let text = std::fs::read_to_string(&path).expect("readable");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            text,
+            "x,\"y,z\"\n\"a,b\",\"say \"\"hi\"\"\"\n\"two\nlines\",plain\n"
+        );
+    }
+
+    #[test]
+    fn ragged_csv_is_not_written() {
+        let name = "write_csv_ragged_probe";
+        let rows = vec![
+            vec!["1".to_string(), "2".to_string()],
+            vec!["3".to_string()],
+        ];
+        assert_eq!(write_csv(name, &["a", "b"], &rows), None);
+        assert!(!results_dir().join(format!("{name}.csv")).exists());
     }
 }

@@ -329,3 +329,72 @@ fn report_is_byte_identical_across_invocations() {
     assert!(first.contains("== serving sustained traffic"));
     assert!(first.contains("engine/SW") || first.contains("SW"));
 }
+
+/// The gate end to end through the binary: halving every
+/// higher-is-better median must make `ggpu-bench cmp` exit non-zero,
+/// and a record set compared with itself must pass.
+#[test]
+fn cmp_binary_rejects_a_halved_baseline_and_accepts_itself() {
+    let base = tmp_store("cmp-bin-base");
+    let halved = tmp_store("cmp-bin-halved");
+    let mut latency = mk(
+        "serve/tiny/load6/ff",
+        "p99_e2e_cycles",
+        vec![5000.0, 5100.0, 4900.0],
+        "a",
+        100,
+    );
+    latency.direction = Direction::Lower;
+    let records = vec![
+        mk(
+            "engine/SW/tiny/ff",
+            "cycles_per_sec",
+            vec![100.0, 101.0, 99.0],
+            "a",
+            100,
+        ),
+        mk(
+            "engine/NvB/tiny/ff",
+            "cycles_per_sec",
+            vec![200.0, 202.0, 198.0],
+            "a",
+            100,
+        ),
+        latency,
+    ];
+    let regressed: Vec<Record> = records
+        .iter()
+        .map(|r| {
+            let mut r = r.clone();
+            if r.direction == Direction::Higher {
+                r.summary = Summary::of(r.summary.samples.iter().map(|s| s * 0.5).collect());
+            }
+            r
+        })
+        .collect();
+    record::append(&base, &records).expect("write baseline");
+    record::append(&halved, &regressed).expect("write regressed copy");
+
+    let cmp = |a: &PathBuf, b: &PathBuf| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_ggpu-bench"))
+            .arg("cmp")
+            .arg(a)
+            .arg(b)
+            .output()
+            .expect("run ggpu-bench cmp")
+    };
+    let out = cmp(&base, &halved);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "cmp must reject a 2x throughput regression:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let out = cmp(&base, &base);
+    assert!(
+        out.status.success(),
+        "identical record sets must pass:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

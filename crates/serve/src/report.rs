@@ -15,8 +15,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ggpu_sim::json::{escape, num, JsonWriter};
-use ggpu_sim::{grid_device, KernelRecord, TraceEvent, TraceEventKind};
+use ggpu_sim::json::{quoted, JsonWriter};
+use ggpu_sim::{grid_device, KernelRecord, Scope, Timeline, TraceEvent, TraceEventKind};
 
 use crate::histogram::{Histogram, LatencyStats};
 use crate::metrics::ServeMetrics;
@@ -182,48 +182,6 @@ impl ServeReport {
     /// Render the unified host+device Chrome trace. Load at
     /// <https://ui.perfetto.dev>.
     pub fn chrome_trace(&self) -> String {
-        let ghz = if self.clock_ghz > 0.0 {
-            self.clock_ghz
-        } else {
-            1.0
-        };
-        let us = |cycles: u64| cycles as f64 / (ghz * 1000.0);
-        let mut out: Vec<String> = Vec::new();
-        let mut ev = |name: &str,
-                      ph: char,
-                      ts: f64,
-                      dur: Option<f64>,
-                      pid: usize,
-                      tid: u64,
-                      args: &[(&str, String)]| {
-            let mut s = format!(
-                "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-                escape(name),
-                ph,
-                num(ts),
-                pid,
-                tid
-            );
-            if let Some(d) = dur {
-                s.push_str(&format!(",\"dur\":{}", num(d.max(0.001))));
-            }
-            if ph == 'i' {
-                s.push_str(",\"s\":\"t\"");
-            }
-            if !args.is_empty() {
-                s.push_str(",\"args\":{");
-                for (i, (k, v)) in args.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!("\"{}\":{}", escape(k), v));
-                }
-                s.push('}');
-            }
-            s.push('}');
-            out.push(s);
-        };
-
         const HOST: usize = 0;
         // Device `d` renders as pid DEV0 + d.
         const DEV0: usize = 1;
@@ -231,44 +189,13 @@ impl ServeReport {
         const TID_WORKER0: u64 = 1;
         const TID_TENANT0: u64 = 100;
 
-        ev(
-            "process_name",
-            'M',
-            0.0,
-            None,
-            HOST,
-            0,
-            &[("name", "\"ggpu-serve host\"".into())],
-        );
+        let mut tl = Timeline::new(self.clock_ghz);
+        tl.process(HOST, "ggpu-serve host");
         for d in 0..self.devices.len() {
-            ev(
-                "process_name",
-                'M',
-                0.0,
-                None,
-                DEV0 + d,
-                0,
-                &[("name", format!("\"device {d}\""))],
-            );
-            ev(
-                "thread_name",
-                'M',
-                0.0,
-                None,
-                DEV0 + d,
-                0,
-                &[("name", "\"transfers (pcie/p2p)\"".into())],
-            );
+            tl.process(DEV0 + d, &format!("device {d}"));
+            tl.thread(DEV0 + d, 0, "transfers (pcie/p2p)");
         }
-        ev(
-            "thread_name",
-            'M',
-            0.0,
-            None,
-            HOST,
-            TID_QUEUE,
-            &[("name", "\"admission queue\"".into())],
-        );
+        tl.thread(HOST, TID_QUEUE, "admission queue");
 
         // --- host: queue-depth counter track -------------------------------
         for e in &self.events {
@@ -278,13 +205,11 @@ impl ServeReport {
                 | ServeEventKind::BatchAssign { queue_depth, .. } => *queue_depth,
                 _ => continue,
             };
-            ev(
-                "queue_depth",
-                'C',
-                us(e.cycle),
-                None,
+            tl.counter(
                 HOST,
                 TID_QUEUE,
+                "queue_depth",
+                e.cycle,
                 &[("jobs", format!("{depth}"))],
             );
         }
@@ -303,13 +228,12 @@ impl ServeReport {
                 span.jobs,
                 if span.faulted { " FAULTED" } else { "" }
             );
-            ev(
-                &name,
-                'X',
-                us(span.launch_cycle),
-                Some(us(span.end_cycle.saturating_sub(span.launch_cycle))),
+            tl.slice(
                 HOST,
                 TID_WORKER0 + span.worker as u64,
+                &name,
+                span.launch_cycle,
+                span.end_cycle.saturating_sub(span.launch_cycle),
                 &[
                     ("batch", format!("{}", span.batch)),
                     ("grid", format!("{}", span.grid)),
@@ -324,69 +248,55 @@ impl ServeReport {
             );
         }
         for e in &self.events {
-            match &e.kind {
+            let (worker, name, args) = match &e.kind {
                 ServeEventKind::StreamReset {
                     worker,
                     old_stream,
                     new_stream,
                 } => {
                     workers.insert(*worker);
-                    ev(
-                        &format!("stream reset {} -> {}", old_stream.0, new_stream.0),
-                        'i',
-                        us(e.cycle),
-                        None,
-                        HOST,
-                        TID_WORKER0 + *worker as u64,
-                        &[
+                    (
+                        *worker,
+                        format!("stream reset {} -> {}", old_stream.0, new_stream.0),
+                        vec![
                             ("old_stream", format!("{}", old_stream.0)),
                             ("new_stream", format!("{}", new_stream.0)),
                         ],
-                    );
+                    )
                 }
                 ServeEventKind::Retry {
                     batch,
                     attempt,
                     not_before_round,
-                } => {
-                    let worker = batch_worker.get(batch).copied().unwrap_or(0);
-                    ev(
-                        &format!("retry batch {batch}"),
-                        'i',
-                        us(e.cycle),
-                        None,
-                        HOST,
-                        TID_WORKER0 + worker as u64,
-                        &[
-                            ("attempt", format!("{attempt}")),
-                            ("not_before_round", format!("{not_before_round}")),
-                        ],
-                    );
-                }
-                ServeEventKind::Split { batch, left, right } => {
-                    let worker = batch_worker.get(batch).copied().unwrap_or(0);
-                    ev(
-                        &format!("split batch {batch} -> {left}+{right}"),
-                        'i',
-                        us(e.cycle),
-                        None,
-                        HOST,
-                        TID_WORKER0 + worker as u64,
-                        &[("batch", format!("{batch}"))],
-                    );
-                }
-                _ => {}
-            }
+                } => (
+                    batch_worker.get(batch).copied().unwrap_or(0),
+                    format!("retry batch {batch}"),
+                    vec![
+                        ("attempt", format!("{attempt}")),
+                        ("not_before_round", format!("{not_before_round}")),
+                    ],
+                ),
+                ServeEventKind::Split { batch, left, right } => (
+                    batch_worker.get(batch).copied().unwrap_or(0),
+                    format!("split batch {batch} -> {left}+{right}"),
+                    vec![("batch", format!("{batch}"))],
+                ),
+                _ => continue,
+            };
+            tl.instant(
+                HOST,
+                TID_WORKER0 + worker as u64,
+                &name,
+                e.cycle,
+                Scope::Thread,
+                &args,
+            );
         }
         for w_idx in &workers {
-            ev(
-                "thread_name",
-                'M',
-                0.0,
-                None,
+            tl.thread(
                 HOST,
                 TID_WORKER0 + *w_idx as u64,
-                &[("name", format!("\"worker {w_idx}\""))],
+                &format!("worker {w_idx}"),
             );
         }
 
@@ -396,9 +306,9 @@ impl ServeReport {
             tenants.insert(t.tenant.0);
             let mut args = vec![
                 ("job", format!("{}", t.job.0)),
-                ("shape", format!("\"{}\"", escape(&t.shape.to_string()))),
+                ("shape", quoted(&t.shape.to_string())),
                 ("priority", format!("{}", t.priority.0)),
-                ("outcome", format!("\"{}\"", t.outcome.tag())),
+                ("outcome", quoted(t.outcome.tag())),
                 ("submit_cycle", format!("{}", t.submit_cycle)),
                 ("complete_cycle", format!("{}", t.complete_cycle)),
                 ("e2e_cycles", format!("{}", t.e2e)),
@@ -407,26 +317,17 @@ impl ServeReport {
                 args.push(("grid", format!("{}", g.grid)));
                 args.push(("stream", format!("{}", g.stream)));
             }
-            ev(
-                &format!("job {} [{}]", t.job.0, t.outcome.tag()),
-                'X',
-                us(t.submit_cycle),
-                Some(us(t.e2e)),
+            tl.slice(
                 HOST,
                 TID_TENANT0 + t.tenant.0 as u64,
+                &format!("job {} [{}]", t.job.0, t.outcome.tag()),
+                t.submit_cycle,
+                t.e2e,
                 &args,
             );
         }
         for t in &tenants {
-            ev(
-                "thread_name",
-                'M',
-                0.0,
-                None,
-                HOST,
-                TID_TENANT0 + *t as u64,
-                &[("name", format!("\"tenant {t}\""))],
-            );
+            tl.thread(HOST, TID_TENANT0 + *t as u64, &format!("tenant {t}"));
         }
 
         // --- devices: one pid per device, one row per stream ----------------
@@ -435,16 +336,15 @@ impl ServeReport {
             let mut streams: BTreeSet<usize> = BTreeSet::new();
             for r in &log.records {
                 streams.insert(r.stream);
-                ev(
-                    &format!("{} #{}", r.kernel, r.grid),
-                    'X',
-                    us(r.start_cycle),
-                    Some(us(r.retire_cycle.saturating_sub(r.start_cycle))),
+                tl.slice(
                     pid,
                     1 + r.stream as u64,
+                    &format!("{} #{}", r.kernel, r.grid),
+                    r.start_cycle,
+                    r.retire_cycle.saturating_sub(r.start_cycle),
                     &[
                         ("grid", format!("{}", r.grid)),
-                        ("kernel", format!("\"{}\"", escape(&r.kernel))),
+                        ("kernel", quoted(&r.kernel)),
                         ("stream", format!("{}", r.stream)),
                         ("ctas", format!("{}", r.ctas)),
                         ("launch_cycle", format!("{}", r.launch_cycle)),
@@ -456,13 +356,12 @@ impl ServeReport {
             for e in &log.events {
                 match &e.kind {
                     TraceEventKind::Memcpy { dir, bytes, cycles } => {
-                        ev(
-                            &format!("memcpy_{dir}"),
-                            'X',
-                            us(e.cycle),
-                            Some(us(*cycles)),
+                        tl.slice(
                             pid,
                             0,
+                            &format!("memcpy_{dir}"),
+                            e.cycle,
+                            *cycles,
                             &[("bytes", format!("{bytes}"))],
                         );
                     }
@@ -472,17 +371,13 @@ impl ServeReport {
                         stream,
                     } => {
                         streams.insert(*stream);
-                        ev(
-                            &format!("FAULT: {kind}"),
-                            'i',
-                            us(e.cycle),
-                            None,
+                        tl.instant(
                             pid,
                             1 + *stream as u64,
-                            &[
-                                ("kernel", format!("\"{}\"", escape(kernel))),
-                                ("stream", format!("{stream}")),
-                            ],
+                            &format!("FAULT: {kind}"),
+                            e.cycle,
+                            Scope::Thread,
+                            &[("kernel", quoted(kernel)), ("stream", format!("{stream}"))],
                         );
                     }
                     TraceEventKind::Deadlock {
@@ -490,13 +385,12 @@ impl ServeReport {
                         stream,
                     } => {
                         streams.insert(*stream);
-                        ev(
-                            "DEADLOCK (watchdog)",
-                            'i',
-                            us(e.cycle),
-                            None,
+                        tl.instant(
                             pid,
                             1 + *stream as u64,
+                            "DEADLOCK (watchdog)",
+                            e.cycle,
+                            Scope::Thread,
                             &[("stalled_for", format!("{stalled_for}"))],
                         );
                     }
@@ -504,22 +398,10 @@ impl ServeReport {
                 }
             }
             for s in &streams {
-                ev(
-                    "thread_name",
-                    'M',
-                    0.0,
-                    None,
-                    pid,
-                    1 + *s as u64,
-                    &[("name", format!("\"stream {s}\""))],
-                );
+                tl.thread(pid, 1 + *s as u64, &format!("stream {s}"));
             }
         }
-
-        let mut doc = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        doc.push_str(&out.join(","));
-        doc.push_str("]}");
-        doc
+        tl.finish()
     }
 }
 

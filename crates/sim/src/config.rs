@@ -100,9 +100,8 @@ pub struct GpuConfig {
     /// Interval-sample ring capacity; once full, the oldest sample is
     /// evicted (and counted in `samples_dropped`).
     pub sample_ring_capacity: usize,
-    /// Record a structured event trace into the built-in in-memory buffer.
-    /// Off by default; custom sinks can be installed regardless via
-    /// [`crate::Gpu::set_trace_sink`].
+    /// Record a structured event trace into the device's in-memory
+    /// buffer ([`crate::Gpu::trace_events`]). Off by default.
     pub trace: bool,
     /// Built-in trace-buffer capacity in events (terminal fault/deadlock
     /// events are retained past it).

@@ -35,7 +35,7 @@ use crate::profile::{
     ProfileReport, Sampler, SmUnit, UnitProfile,
 };
 use crate::stats::{HostStats, RunStats};
-use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind, TraceSink};
+use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind};
 
 use self::engine::{DramTarget, Ev};
 use self::launch::Grid;
@@ -81,18 +81,6 @@ struct SmLane {
 /// All SM cores in SM-index order.
 fn cores(lanes: &[SmLane]) -> impl Iterator<Item = &SmCore> {
     lanes.iter().map(|l| &l.core)
-}
-
-/// Where trace events go. [`SinkSlot::Off`] keeps the disabled path at a
-/// single branch per emission site.
-#[derive(Debug)]
-enum SinkSlot {
-    /// Tracing disabled (the default).
-    Off,
-    /// The built-in in-memory buffer ([`GpuConfig::trace`]).
-    Buffer(TraceBuffer),
-    /// A user-installed sink ([`Gpu::set_trace_sink`]).
-    Custom(Box<dyn TraceSink>),
 }
 
 /// The simulated GPU plus its host-side API.
@@ -169,8 +157,9 @@ pub struct Gpu {
     /// violation), resolved against the owning stream at the end of
     /// `cycle_post`.
     pending_fault: Option<SimError>,
-    /// Where trace events go ([`SinkSlot::Off`] unless tracing is on).
-    sink: SinkSlot,
+    /// The event log (`None` unless [`GpuConfig::trace`] is set, which
+    /// keeps the disabled path at a single branch per emission site).
+    trace: Option<TraceBuffer>,
     /// Per-kernel records, in retire order (collected while profiling is
     /// enabled).
     records: Vec<KernelRecord>,
@@ -236,11 +225,9 @@ impl Gpu {
             replies_sent: 0,
             memcpys_done: 0,
             pending_fault: None,
-            sink: if config.trace {
-                SinkSlot::Buffer(TraceBuffer::new(config.trace_capacity))
-            } else {
-                SinkSlot::Off
-            },
+            trace: config
+                .trace
+                .then(|| TraceBuffer::new(config.trace_capacity)),
             records: Vec::new(),
             record_base: RunStats::default(),
             sampler: (config.sample_interval_cycles > 0)
@@ -418,15 +405,15 @@ impl Gpu {
             *s = Sampler::new(interval, capacity);
             s.last_boundary = self.cycle;
         }
-        if let SinkSlot::Buffer(b) = &mut self.sink {
+        if let Some(b) = &mut self.trace {
             let _ = b.take();
         }
     }
 
     // ---- profiling --------------------------------------------------------
 
-    /// Whether the profiling layer is collecting anything: a trace sink is
-    /// installed, interval sampling is on, per-PC attribution is on, and/or
+    /// Whether the profiling layer is collecting anything: tracing is on,
+    /// interval sampling is on, per-PC attribution is on, and/or
     /// standalone kernel records are requested
     /// ([`GpuConfig::kernel_records`]). Per-kernel records are collected
     /// exactly while this is true. Profiling never changes simulated timing
@@ -437,12 +424,6 @@ impl Gpu {
             || self.sampler.is_some()
             || self.config.sm.attribution
             || self.config.kernel_records
-    }
-
-    /// Install a custom trace sink (replacing the built-in buffer if
-    /// [`GpuConfig::trace`] was set). The sink sees every event from now on.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = SinkSlot::Custom(sink);
     }
 
     /// Per-kernel counter records collected so far, in retire order.
@@ -460,13 +441,9 @@ impl Gpu {
         self.sampler.as_ref().map_or(0, |s| s.dropped)
     }
 
-    /// Events recorded by the built-in trace buffer (empty when tracing is
-    /// off or a custom sink is installed).
+    /// Events recorded by the trace buffer (empty when tracing is off).
     pub fn trace_events(&self) -> &[TraceEvent] {
-        match &self.sink {
-            SinkSlot::Buffer(b) => b.events(),
-            _ => &[],
-        }
+        self.trace.as_ref().map_or(&[], TraceBuffer::events)
     }
 
     /// The code axis of attribution: per-PC counters merged across SMs in
@@ -552,10 +529,10 @@ impl Gpu {
             ),
             None => (Vec::new(), 0),
         };
-        let (events, events_dropped) = match &mut self.sink {
-            SinkSlot::Buffer(b) => b.take(),
-            _ => (Vec::new(), 0),
-        };
+        let (events, events_dropped) = self
+            .trace
+            .as_mut()
+            .map_or((Vec::new(), 0), TraceBuffer::take);
         self.record_base = stats.clone();
         ProfileReport {
             stats,
@@ -572,20 +549,17 @@ impl Gpu {
 
     #[inline]
     fn trace_on(&self) -> bool {
-        !matches!(self.sink, SinkSlot::Off)
+        self.trace.is_some()
     }
 
-    /// Hand one event to the installed sink. Callers guard with
-    /// [`Gpu::trace_on`] so the disabled path never constructs an event.
+    /// Record one event. Callers guard with [`Gpu::trace_on`] so the
+    /// disabled path never constructs an event.
     fn emit(&mut self, kind: TraceEventKind) {
-        let ev = TraceEvent {
-            cycle: self.cycle,
-            kind,
-        };
-        match &mut self.sink {
-            SinkSlot::Off => {}
-            SinkSlot::Buffer(b) => b.event(&ev),
-            SinkSlot::Custom(s) => s.event(&ev),
+        if let Some(b) = &mut self.trace {
+            b.push(TraceEvent {
+                cycle: self.cycle,
+                kind,
+            });
         }
     }
 

@@ -32,6 +32,11 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// `s` as a JSON string literal: escaped and wrapped in quotes.
+pub fn quoted(s: &str) -> String {
+    format!("\"{}\"", escape(s))
+}
+
 /// Render an `f64` as a JSON number. JSON has no NaN/infinity, so those
 /// (which only arise from degenerate 0/0-style metrics) render as `0`.
 pub fn num(v: f64) -> String {

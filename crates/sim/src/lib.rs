@@ -67,8 +67,7 @@ pub use profile::{
 };
 pub use stats::{HostStats, RunStats};
 pub use trace::{
-    chrome_trace_events, chrome_trace_json, CopyDir, TraceBuffer, TraceEvent, TraceEventKind,
-    TraceSink,
+    chrome_trace_json, CopyDir, Scope, Timeline, TraceBuffer, TraceEvent, TraceEventKind,
 };
 
 // Re-export the fault vocabulary so harnesses matching on errors don't need

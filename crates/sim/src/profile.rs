@@ -25,7 +25,7 @@ const INSTR_CLASSES: [InstrClass; 5] = [
 
 use crate::json::JsonWriter;
 use crate::stats::RunStats;
-use crate::trace::{chrome_trace_json, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// Counter record for one kernel launch (host or CDP child).
 ///
@@ -558,20 +558,6 @@ impl ProfileReport {
     pub fn dropped_total(&self) -> u64 {
         self.samples_dropped + self.events_dropped
     }
-
-    /// Render this report's event trace as a Chrome-trace JSON document
-    /// viewable in Perfetto (<https://ui.perfetto.dev>) or
-    /// `chrome://tracing`.
-    pub fn chrome_trace(&self, label: &str) -> String {
-        chrome_trace_json(
-            &[(label.to_string(), self.events.as_slice())],
-            if self.clock_ghz > 0.0 {
-                self.clock_ghz
-            } else {
-                1.0
-            },
-        )
-    }
 }
 
 /// Serialize a [`RunStats`] snapshot (or delta) as a JSON object: every
@@ -832,7 +818,5 @@ mod tests {
             samples[0].get("end_cycle").and_then(Json::as_u64),
             Some(500)
         );
-        // The chrome trace is also well-formed JSON even when empty.
-        Json::parse(&report.chrome_trace("t")).expect("chrome trace well-formed");
     }
 }

@@ -1,17 +1,18 @@
-//! Structured event trace: typed device events, pluggable sinks, and a
-//! Chrome-trace (`chrome://tracing` / Perfetto) JSON writer.
+//! Structured event trace: typed device events, the bounded in-memory
+//! log they land in, and [`Timeline`], the one Chrome-trace
+//! (`chrome://tracing` / Perfetto) writer in the workspace.
 //!
-//! Tracing is off by default. Enable the built-in in-memory buffer with
-//! [`crate::GpuConfig::trace`], or install any custom [`TraceSink`] via
-//! [`crate::Gpu::set_trace_sink`]. Every emission site in the device is
-//! guarded by a single "is a sink installed?" branch, so the disabled path
+//! Tracing is off by default. Enable the in-memory buffer with
+//! [`crate::GpuConfig::trace`]. Every emission site in the device is
+//! guarded by a single "is tracing on?" branch, so the disabled path
 //! costs one predictable branch and no allocation.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 use ggpu_isa::FaultKind;
 
-use crate::json::{escape, num, JsonWriter};
+use crate::json::{escape, num, quoted, JsonWriter};
 
 /// Direction of a `cudaMemcpy` transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,19 +235,7 @@ impl TraceEvent {
     }
 }
 
-/// A consumer of trace events.
-///
-/// Implementations must be cheap per event; the device calls
-/// [`TraceSink::event`] from the cycle loop whenever a sink is installed.
-/// Sinks must be `Send` so a whole [`crate::Gpu`] (including its sink) can
-/// move to a worker thread — the node engine simulates devices on parallel
-/// host threads.
-pub trait TraceSink: fmt::Debug + Send {
-    /// Observe one event.
-    fn event(&mut self, ev: &TraceEvent);
-}
-
-/// The built-in in-memory sink: a capacity-bounded event log.
+/// The device's in-memory event log, bounded by capacity.
 ///
 /// When the buffer is full, further events are dropped (and counted) —
 /// except terminal fault/deadlock events, which are always retained so a
@@ -278,6 +267,16 @@ impl TraceBuffer {
         self.dropped
     }
 
+    /// Record one event, or count it as dropped if the buffer is full and
+    /// the event is not terminal.
+    pub fn push(&mut self, ev: TraceEvent) {
+        if self.events.len() < self.capacity || ev.kind.is_terminal() {
+            self.events.push(ev);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
     /// Take the recorded events, leaving the buffer empty.
     pub fn take(&mut self) -> (Vec<TraceEvent>, u64) {
         (
@@ -287,96 +286,172 @@ impl TraceBuffer {
     }
 }
 
-impl TraceSink for TraceBuffer {
-    fn event(&mut self, ev: &TraceEvent) {
-        if self.events.len() < self.capacity || ev.kind.is_terminal() {
-            self.events.push(ev.clone());
-        } else {
-            self.dropped += 1;
+/// How far Perfetto draws an instant event's marker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// A full-height line across every process (`"s":"g"`).
+    Global,
+    /// A tick on the event's own thread row (`"s":"t"`).
+    Thread,
+}
+
+/// One Chrome-trace timeline on the device cycle clock: processes
+/// (`pid`) and threads (`tid`) carrying slices, instants and counters.
+///
+/// Every trace this workspace exports — a device's event log, a whole
+/// [`crate::GpuNode`], and the serving layer's host+device view — is
+/// built by pushing into a `Timeline`, and [`Timeline::finish`] is the
+/// only writer of the trace document. Timestamps are given in device
+/// cycles and converted to the format's microseconds at the clock the
+/// timeline was created with. Events are written in push order, so a
+/// fixed event sequence always renders to the same bytes.
+///
+/// Event arguments are `(key, value)` pairs whose value is already a
+/// JSON literal (a number, `true`/`false`, or a string from
+/// [`crate::json::quoted`]).
+#[derive(Debug, Clone)]
+pub struct Timeline {
+    clock_ghz: f64,
+    body: String,
+}
+
+impl Timeline {
+    /// An empty timeline at `clock_ghz`. A non-positive clock (a report
+    /// that never recorded one) renders at 1 GHz so timestamps stay finite.
+    pub fn new(clock_ghz: f64) -> Self {
+        Timeline {
+            clock_ghz: if clock_ghz > 0.0 { clock_ghz } else { 1.0 },
+            body: String::new(),
         }
     }
-}
 
-/// Convert device cycles to Chrome-trace microseconds at `clock_ghz`.
-fn cycles_to_us(cycles: u64, clock_ghz: f64) -> f64 {
-    cycles as f64 / (clock_ghz * 1000.0)
-}
+    /// Device cycles as Chrome-trace microseconds.
+    fn us(&self, cycles: u64) -> f64 {
+        cycles as f64 / (self.clock_ghz * 1000.0)
+    }
 
-#[allow(clippy::too_many_arguments)]
-fn chrome_event(
-    out: &mut Vec<String>,
-    name: &str,
-    ph: char,
-    ts_us: f64,
-    dur_us: Option<f64>,
-    pid: usize,
-    tid: u64,
-    args: &[(&str, String)],
-) {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-        escape(name),
-        ph,
-        num(ts_us),
-        pid,
-        tid
-    ));
-    if let Some(d) = dur_us {
-        s.push_str(&format!(",\"dur\":{}", num(d.max(0.001))));
+    /// Name process `pid` (a metadata row).
+    pub fn process(&mut self, pid: usize, name: &str) {
+        let args = [("name", quoted(name))];
+        self.event(pid, 0, "process_name", Phase::Meta, 0, &args);
     }
-    if ph == 'i' {
-        // Instant events: global scope so Perfetto draws a full-height line.
-        s.push_str(",\"s\":\"g\"");
+
+    /// Name thread `tid` of process `pid` (a metadata row).
+    pub fn thread(&mut self, pid: usize, tid: u64, name: &str) {
+        let args = [("name", quoted(name))];
+        self.event(pid, tid, "thread_name", Phase::Meta, 0, &args);
     }
-    if !args.is_empty() {
-        s.push_str(",\"args\":{");
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+
+    /// A complete slice from cycle `start` lasting `cycles` (drawn at
+    /// least 1 ns wide so zero-length work stays visible).
+    pub fn slice(
+        &mut self,
+        pid: usize,
+        tid: u64,
+        name: &str,
+        start: u64,
+        cycles: u64,
+        args: &[(&str, String)],
+    ) {
+        self.event(pid, tid, name, Phase::Slice(cycles), start, args);
+    }
+
+    /// An instant event at `cycle`.
+    pub fn instant(
+        &mut self,
+        pid: usize,
+        tid: u64,
+        name: &str,
+        cycle: u64,
+        scope: Scope,
+        args: &[(&str, String)],
+    ) {
+        self.event(pid, tid, name, Phase::Instant(scope), cycle, args);
+    }
+
+    /// A counter sample at `cycle`; each argument is one series.
+    pub fn counter(
+        &mut self,
+        pid: usize,
+        tid: u64,
+        name: &str,
+        cycle: u64,
+        args: &[(&str, String)],
+    ) {
+        self.event(pid, tid, name, Phase::Counter, cycle, args);
+    }
+
+    /// The complete Chrome-trace JSON document. Load it at
+    /// <https://ui.perfetto.dev> or `chrome://tracing`.
+    pub fn finish(self) -> String {
+        format!(
+            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
+            self.body
+        )
+    }
+
+    fn event(
+        &mut self,
+        pid: usize,
+        tid: u64,
+        name: &str,
+        phase: Phase,
+        cycle: u64,
+        args: &[(&str, String)],
+    ) {
+        // The phase letter, and the field only that phase carries.
+        let (ph, extra) = match phase {
+            Phase::Meta => ('M', String::new()),
+            Phase::Slice(cycles) => ('X', format!(",\"dur\":{}", num(self.us(cycles).max(0.001)))),
+            Phase::Instant(Scope::Global) => ('i', ",\"s\":\"g\"".to_string()),
+            Phase::Instant(Scope::Thread) => ('i', ",\"s\":\"t\"".to_string()),
+            Phase::Counter => ('C', String::new()),
+        };
+        let ts = num(self.us(cycle));
+        let s = &mut self.body;
+        if !s.is_empty() {
+            s.push(',');
+        }
+        let _ = write!(
+            s,
+            "{{\"name\":\"{}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}{extra}",
+            escape(name),
+        );
+        if !args.is_empty() {
+            s.push_str(",\"args\":{");
+            for (i, (k, v)) in args.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                let _ = write!(s, "\"{}\":{v}", escape(k));
             }
-            s.push_str(&format!("\"{}\":{}", escape(k), v));
+            s.push('}');
         }
         s.push('}');
     }
-    s.push('}');
-    out.push(s);
 }
 
-/// Emit Chrome-trace events for one device's event log under process id
-/// `pid`, appending serialized event objects to `out`.
+/// The Chrome-trace phase of one event, with what only that phase carries.
+enum Phase {
+    /// A metadata row (`"ph":"M"`).
+    Meta,
+    /// A complete slice lasting this many cycles (`"ph":"X"`).
+    Slice(u64),
+    /// An instant (`"ph":"i"`).
+    Instant(Scope),
+    /// A counter sample (`"ph":"C"`).
+    Counter,
+}
+
+/// Render one device's event log into `tl` as process `pid`.
 ///
 /// Track (tid) layout inside the process: tid 0 is the host (memcpy)
 /// track, tid `1 + depth` holds kernels at CDP nesting `depth`, so parent
 /// and child launches land on adjacent rows. Faults and watchdog fires are
-/// instant events.
-pub fn chrome_trace_events(
-    pid: usize,
-    process_name: &str,
-    events: &[TraceEvent],
-    clock_ghz: f64,
-    out: &mut Vec<String>,
-) {
-    chrome_event(
-        out,
-        "process_name",
-        'M',
-        0.0,
-        None,
-        pid,
-        0,
-        &[("name", format!("\"{}\"", escape(process_name)))],
-    );
-    chrome_event(
-        out,
-        "thread_name",
-        'M',
-        0.0,
-        None,
-        pid,
-        0,
-        &[("name", "\"host (memcpy)\"".to_string())],
-    );
+/// global instant events.
+fn chrome_trace_events(tl: &mut Timeline, pid: usize, process_name: &str, events: &[TraceEvent]) {
+    tl.process(pid, process_name);
+    tl.thread(pid, 0, "host (memcpy)");
 
     // Launch metadata and start cycles, keyed by grid handle.
     struct Open {
@@ -395,7 +470,6 @@ pub fn chrome_trace_events(
     let mut max_depth = 0u32;
 
     for ev in events {
-        let ts = cycles_to_us(ev.cycle, clock_ghz);
         match &ev.kind {
             TraceEventKind::KernelLaunch {
                 grid,
@@ -449,14 +523,12 @@ pub fn chrome_trace_events(
                 if let Some(i) = find(&mut open, *grid) {
                     let (g, o) = open.remove(i);
                     let start = o.start.unwrap_or(o.launch_cycle);
-                    chrome_event(
-                        out,
-                        &format!("{} #{g}", o.name),
-                        'X',
-                        cycles_to_us(start, clock_ghz),
-                        Some(cycles_to_us(ev.cycle.saturating_sub(start), clock_ghz)),
+                    tl.slice(
                         pid,
                         1 + o.depth as u64,
+                        &format!("{} #{g}", o.name),
+                        start,
+                        ev.cycle.saturating_sub(start),
                         &[
                             ("grid", format!("{g}")),
                             ("ctas", format!("{}", o.ctas)),
@@ -471,26 +543,22 @@ pub fn chrome_trace_events(
             }
             TraceEventKind::CdpDrain { .. } => {}
             TraceEventKind::Memcpy { dir, bytes, cycles } => {
-                chrome_event(
-                    out,
-                    &format!("memcpy_{dir}"),
-                    'X',
-                    ts,
-                    Some(cycles_to_us(*cycles, clock_ghz)),
+                tl.slice(
                     pid,
                     0,
+                    &format!("memcpy_{dir}"),
+                    ev.cycle,
+                    *cycles,
                     &[("bytes", format!("{bytes}"))],
                 );
             }
             TraceEventKind::CacheFill { partition, addr } => {
-                chrome_event(
-                    out,
-                    "l2_fill",
-                    'i',
-                    ts,
-                    None,
+                tl.instant(
                     pid,
                     0,
+                    "l2_fill",
+                    ev.cycle,
+                    Scope::Global,
                     &[
                         ("partition", format!("{partition}")),
                         ("addr", format!("{addr}")),
@@ -502,32 +570,25 @@ pub fn chrome_trace_events(
                 kernel,
                 stream,
             } => {
-                chrome_event(
-                    out,
-                    &format!("FAULT: {kind}"),
-                    'i',
-                    ts,
-                    None,
+                tl.instant(
                     pid,
                     0,
-                    &[
-                        ("kernel", format!("\"{}\"", escape(kernel))),
-                        ("stream", format!("{stream}")),
-                    ],
+                    &format!("FAULT: {kind}"),
+                    ev.cycle,
+                    Scope::Global,
+                    &[("kernel", quoted(kernel)), ("stream", format!("{stream}"))],
                 );
             }
             TraceEventKind::Deadlock {
                 stalled_for,
                 stream,
             } => {
-                chrome_event(
-                    out,
-                    "DEADLOCK (watchdog)",
-                    'i',
-                    ts,
-                    None,
+                tl.instant(
                     pid,
                     0,
+                    "DEADLOCK (watchdog)",
+                    ev.cycle,
+                    Scope::Global,
                     &[
                         ("stalled_for", format!("{stalled_for}")),
                         ("stream", format!("{stream}")),
@@ -540,50 +601,35 @@ pub fn chrome_trace_events(
     // A grid still open at the end of the log (fault/deadlock killed it)
     // renders as an instant so the timeline shows where it got to.
     for (g, o) in open {
-        chrome_event(
-            out,
-            &format!("{} #{g} (unfinished)", o.name),
-            'i',
-            cycles_to_us(o.start.unwrap_or(o.launch_cycle), clock_ghz),
-            None,
+        tl.instant(
             pid,
             1 + o.depth as u64,
+            &format!("{} #{g} (unfinished)", o.name),
+            o.start.unwrap_or(o.launch_cycle),
+            Scope::Global,
             &[("grid", format!("{g}"))],
         );
     }
 
     for depth in 0..=max_depth {
-        chrome_event(
-            out,
-            "thread_name",
-            'M',
-            0.0,
-            None,
+        let origin = if depth == 0 { "host" } else { "CDP" };
+        tl.thread(
             pid,
             1 + depth as u64,
-            &[(
-                "name",
-                format!(
-                    "\"kernels depth {depth}{}\"",
-                    if depth == 0 { " (host)" } else { " (CDP)" }
-                ),
-            )],
+            &format!("kernels depth {depth} ({origin})"),
         );
     }
 }
 
 /// Render one or more `(label, events)` logs as a complete Chrome-trace
-/// JSON document (one Perfetto "process" per log). Load the result at
-/// <https://ui.perfetto.dev> or `chrome://tracing`.
+/// JSON document (one Perfetto "process" per log, pid = log index). Load
+/// the result at <https://ui.perfetto.dev> or `chrome://tracing`.
 pub fn chrome_trace_json(logs: &[(String, &[TraceEvent])], clock_ghz: f64) -> String {
-    let mut events = Vec::new();
+    let mut tl = Timeline::new(clock_ghz);
     for (pid, (label, log)) in logs.iter().enumerate() {
-        chrome_trace_events(pid, label, log, clock_ghz, &mut events);
+        chrome_trace_events(&mut tl, pid, label, log);
     }
-    let mut s = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    s.push_str(&events.join(","));
-    s.push_str("]}");
-    s
+    tl.finish()
 }
 
 #[cfg(test)]
@@ -599,9 +645,9 @@ mod tests {
     fn buffer_caps_and_keeps_terminal_events() {
         let mut b = TraceBuffer::new(2);
         for i in 0..5 {
-            b.event(&ev(i, TraceEventKind::KernelStart { grid: i, stream: 0 }));
+            b.push(ev(i, TraceEventKind::KernelStart { grid: i, stream: 0 }));
         }
-        b.event(&ev(
+        b.push(ev(
             9,
             TraceEventKind::Deadlock {
                 stalled_for: 100,
@@ -633,6 +679,42 @@ mod tests {
         assert_eq!(v.get("kernel").and_then(Json::as_str), Some("child \"k\""));
         assert_eq!(v.get("parent").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("stream").and_then(Json::as_u64), Some(4));
+    }
+
+    #[test]
+    fn timeline_pins_every_event_shape_byte_for_byte() {
+        let mut tl = Timeline::new(2.0);
+        tl.thread(1, 3, "row \"a\"");
+        tl.slice(1, 3, "k #1", 2000, 0, &[("grid", "1".to_string())]);
+        tl.instant(1, 0, "fault", 4000, Scope::Global, &[]);
+        tl.instant(0, 2, "reset", 500, Scope::Thread, &[("s", quoted("x"))]);
+        tl.counter(0, 0, "queue_depth", 1000, &[("jobs", "7".to_string())]);
+        assert_eq!(
+            tl.finish(),
+            concat!(
+                r#"{"displayTimeUnit":"ms","traceEvents":["#,
+                r#"{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":3,"args":{"name":"row \"a\""}},"#,
+                r#"{"name":"k #1","ph":"X","ts":1,"pid":1,"tid":3,"dur":0.001,"args":{"grid":1}},"#,
+                r#"{"name":"fault","ph":"i","ts":2,"pid":1,"tid":0,"s":"g"},"#,
+                r#"{"name":"reset","ph":"i","ts":0.25,"pid":0,"tid":2,"s":"t","args":{"s":"x"}},"#,
+                r#"{"name":"queue_depth","ph":"C","ts":0.5,"pid":0,"tid":0,"args":{"jobs":7}}"#,
+                "]}"
+            )
+        );
+        // A clock that was never recorded renders at 1 GHz, and an empty
+        // timeline is still a well-formed document.
+        let mut tl = Timeline::new(0.0);
+        tl.process(0, "p");
+        tl.counter(0, 0, "c", 1000, &[]);
+        assert_eq!(
+            tl.finish(),
+            concat!(
+                r#"{"displayTimeUnit":"ms","traceEvents":["#,
+                r#"{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"p"}},"#,
+                r#"{"name":"c","ph":"C","ts":1,"pid":0,"tid":0}]}"#
+            )
+        );
+        assert!(Json::parse(&chrome_trace_json(&[], 1.5)).is_ok());
     }
 
     #[test]
